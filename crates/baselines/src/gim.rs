@@ -24,7 +24,7 @@ use eim_imm::{
 };
 use rand::Rng;
 
-use eim_core::select::{select_on_device, ScanStrategy};
+use eim_core::select::{select_on_any_store, ScanStrategy};
 use eim_core::{DeviceGraph, PlainDeviceGraph};
 
 /// Fraction of each dynamic spill chunk lost to allocator fragmentation and
@@ -335,7 +335,7 @@ impl ImmEngine for GimEngine<'_> {
         }
         let flag_bytes = self.store.num_sets().div_ceil(8);
         let flags_ok = self.device.memory().alloc(flag_bytes).is_ok();
-        let result = select_on_device(&self.device, &self.store, k, ScanStrategy::WarpPerSet);
+        let result = select_on_any_store(&self.device, &self.store, k, ScanStrategy::WarpPerSet);
         if flags_ok {
             self.device.memory().free(flag_bytes);
         }

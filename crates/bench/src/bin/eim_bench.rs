@@ -47,7 +47,8 @@
 //! self-describing.
 //!
 //! `perf` measures the host wall-clock hot paths on fixed seeds: RRR-set
-//! sampling (`sample_batch`), greedy seed selection (`select_seeds`), the
+//! sampling (`sample_batch`), greedy seed selection (`select_seeds`, and
+//! the device engines' priced `select_on_device` on the same store), the
 //! compressed-store capacity race (`rrr_capacity`, which also reports how
 //! much later a fixed device budget OOMs), and an end-to-end `run_imm`.
 //! Simulated cycle counts
@@ -72,6 +73,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use eim_core::sampler::sample_batch;
+use eim_core::select::select_on_device;
 use eim_core::{EimEngine, MultiGpuEimEngine, PlainDeviceGraph, ScanStrategy};
 use eim_diffusion::DiffusionModel;
 use eim_gpusim::{
@@ -701,6 +703,47 @@ fn run_benches(
     );
     println!(
         "sel_reference  {ref_ms:>10.2} ms   ({} sets, k={}, covered={ref_covered})",
+        w.sel_sets, w.sel_k
+    );
+
+    // The device engines' selection (eIM's thread-per-set scan, priced by
+    // the simulator) on the same store, timed next to `select_seeds`.
+    let sel_device = make_device(DeviceSpec::rtx_a6000());
+    let mut dev_sel = None;
+    let dev_ms = time_ms(w.reps, || {
+        let r = select_on_device(&sel_device, &store, w.sel_k, ScanStrategy::ThreadPerSet);
+        std::hint::black_box(&r);
+        dev_sel = Some(r);
+    });
+    let dev_sel = dev_sel.expect("reps >= 1");
+    assert_eq!(
+        dev_sel.selection.seeds, sel_seeds,
+        "device and host seeds agree"
+    );
+    let mut dev_digest = Map::new();
+    dev_digest.insert(
+        "total_cycles".to_string(),
+        Value::from(dev_sel.total_cycles),
+    );
+    dev_digest.insert("launches".to_string(), Value::from(dev_sel.launches));
+    digests.insert("device_selection".to_string(), Value::Object(dev_digest));
+    benches.insert(
+        "device_selection".to_string(),
+        bench_entry(
+            dev_ms,
+            &[
+                ("n", Value::from(w.sel_n as u64)),
+                ("sets", Value::from(w.sel_sets as u64)),
+                ("k", Value::from(w.sel_k as u64)),
+                (
+                    "covered_sets",
+                    Value::from(dev_sel.selection.covered_sets as u64),
+                ),
+            ],
+        ),
+    );
+    println!(
+        "device_select  {dev_ms:>10.2} ms   ({} sets, k={}, thread-per-set)",
         w.sel_sets, w.sel_k
     );
 

@@ -13,7 +13,7 @@ use eim_imm::{
 use crate::device_graph::{DeviceGraph, PackedDeviceGraph, PlainDeviceGraph};
 use crate::memory::{MemoryFootprint, ScratchPlan};
 use crate::sampler::{sample_batch, SampleBatch, SamplerCounters};
-use crate::select::{select_on_device, ScanStrategy};
+use crate::select::{select_on_any_store, ScanStrategy};
 
 enum GraphRepr<'g> {
     Plain(PlainDeviceGraph<'g>),
@@ -332,7 +332,7 @@ impl ImmEngine for EimEngine<'_> {
         // The covered-flag array F is transient device scratch.
         let flag_bytes = self.store.num_sets().div_ceil(8);
         let flags_ok = self.device.memory().alloc(flag_bytes).is_ok();
-        let result = select_on_device(&self.device, &self.store, k, self.scan);
+        let result = select_on_any_store(&self.device, &self.store, k, self.scan);
         if flags_ok {
             self.device.memory().free(flag_bytes);
         }

@@ -38,7 +38,7 @@ use eim_imm::{
 use crate::device_graph::{PackedDeviceGraph, PlainDeviceGraph};
 use crate::memory::ScratchPlan;
 use crate::sampler::{sample_batch, SamplerCounters};
-use crate::select::{select_on_device, ScanStrategy};
+use crate::select::{select_on_any_store, ScanStrategy};
 use crate::DeviceGraph;
 
 enum GraphRepr<'g> {
@@ -393,7 +393,8 @@ impl ImmEngine for MultiGpuEimEngine<'_> {
             self.streams[0].wait_event(&self.devices[0], &ev);
             self.gathered_bytes += to_gather;
         }
-        let result = select_on_device(&self.devices[0], &self.store, k, ScanStrategy::ThreadPerSet);
+        let result =
+            select_on_any_store(&self.devices[0], &self.store, k, ScanStrategy::ThreadPerSet);
         // `select_on_device` models its launches analytically; record the
         // kernel work on device 0's lane, one event per greedy iteration.
         let mut ts = self.devices[0].advance_clock(result.elapsed_us);

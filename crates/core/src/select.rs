@@ -14,10 +14,24 @@
 //! The makespan of each scan is `max over slots of its summed per-set
 //! costs` under round-robin assignment — exactly the
 //! `ceil(N / slots) * C` analysis of §3.5.
+//!
+//! # Host cost
+//!
+//! Each greedy pick is one fused pass: a serial argmax over `C` (ties
+//! toward the smallest id), then one parallel fold over warps of scan slots
+//! (slot `s` owns sets `s, s + slots, …`) that probes every uncovered set
+//! once and folds its price straight into the slot, warp and kernel
+//! totals, then decrements of the members of the sets it newly covered.
+//! Nothing is allocated per set and no decoded copy of the store is made.
+//! [`select_on_any_store`] resolves the [`AnyRrrStore`] backend once per
+//! call, so each backend runs its own [`RrrSets::contains_with_probes`].
+
+use std::ops::Range;
 
 use eim_gpusim::{Device, KernelHw, GLOBAL_TRANSACTION_BYTES, WARP_SIZE};
 use eim_graph::VertexId;
-use eim_imm::{RrrSets, Selection};
+use eim_imm::{AnyRrrStore, RrrSets, Selection};
+use parking_lot::Mutex;
 use rayon::prelude::*;
 
 /// Workload distribution for the selection scans.
@@ -33,6 +47,11 @@ pub enum ScanStrategy {
 /// searches a sorted run 32-ary instead of binary, cutting probe rounds by
 /// `log2(32) = 5x`, but pays intra-warp coordination — net ~4x per set.
 const WARP_SEARCH_SPEEDUP: u64 = 4;
+
+/// Sets one parallel work item of the membership scan covers, at least:
+/// enough items to balance the pool, few enough that per-item bookkeeping
+/// stays off the per-warp path.
+const SETS_PER_SCAN_ITEM: usize = 4096;
 
 /// One greedy iteration's simulated cost: its argmax reduction plus its
 /// membership scan. `cycles` and `launches` sum exactly to the parent
@@ -73,6 +92,23 @@ pub struct DeviceSelection {
     pub iterations: Vec<SelectIteration>,
 }
 
+/// [`select_on_device`] over a runtime-selected store. The backend is
+/// resolved here, once per call, so the membership scan runs over the
+/// concrete store type instead of dispatching every probe through
+/// [`AnyRrrStore`].
+pub fn select_on_any_store(
+    device: &Device,
+    store: &AnyRrrStore,
+    k: usize,
+    strategy: ScanStrategy,
+) -> DeviceSelection {
+    match store {
+        AnyRrrStore::Plain(s) => select_on_device(device, s, k, strategy),
+        AnyRrrStore::Packed(s) => select_on_device(device, s, k, strategy),
+        AnyRrrStore::Compressed(s) => select_on_device(device, s, k, strategy),
+    }
+}
+
 /// Runs greedy max-coverage over `store` on `device`, charging simulated
 /// time for the argmax reductions and the per-set membership scans.
 /// Produces bit-identical seeds to [`eim_imm::select_seeds`].
@@ -103,24 +139,90 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
     // `min(slots, num_sets)` slots; the rest stay empty and would only pad
     // the makespan scan with zeros.
     let used_slots = slots.min(num_sets.max(1));
-    // Rayon with a single worker still pays per-call pool dispatch; the
-    // simulated cost model is identical either way, so take the serial
-    // path outright (the same convention as `eim_imm::select_seeds`).
-    let serial = rayon::current_num_threads() <= 1;
+    // Split the warps into work items of about `SETS_PER_SCAN_ITEM` sets
+    // each (slot `s` owns `ceil((num_sets - s) / used_slots)` of them).
+    let num_warps = used_slots.div_ceil(WARP_SIZE);
+    let warp_sets = |w: usize| -> usize {
+        (w * WARP_SIZE..((w + 1) * WARP_SIZE).min(used_slots))
+            .map(|s| num_sets.saturating_sub(s).div_ceil(used_slots))
+            .sum()
+    };
+    let mut items: Vec<ScanItem> = Vec::new();
+    let mut first = 0;
+    while first < num_warps {
+        let (mut end, mut owned) = (first, 0);
+        while end < num_warps && owned < SETS_PER_SCAN_ITEM {
+            owned += warp_sets(end);
+            end += 1;
+        }
+        items.push(ScanItem {
+            warps: first..end,
+            owned,
+            newly_covered: Mutex::default(),
+        });
+        first = end;
+    }
+    let (probes_per_round, lanes_per_wave) = match strategy {
+        ScanStrategy::ThreadPerSet => (1, 1),
+        ScanStrategy::WarpPerSet => (WARP_SEARCH_SPEEDUP, WARP_SIZE as u64),
+    };
+    // Set `i`'s scan cycles for seed `v` when `i` is still uncovered; its
+    // traffic and atomics go into `fold`, and the set into `newly` if `v`
+    // covers it.
+    let price = |v: VertexId, i: usize, fold: &mut ScanFold, newly: &mut Vec<usize>| {
+        // Each search round is a dependent, uncoalesced load into R.
+        let (found, probes) = store.contains_with_probes(i, v);
+        let rounds = (probes as u64).div_ceil(probes_per_round);
+        let mut cycles = costs.alu + rounds * costs.global_latency;
+        fold.transactions += rounds;
+        if found {
+            // Decrement every member's count: serially by a thread, or in
+            // 32-lane waves by a warp whose final partial wave predicates
+            // off its unused lanes.
+            let len = store.set_len(i) as u64;
+            let waves = len.div_ceil(lanes_per_wave);
+            cycles += costs.atomic_global * waves + costs.global_access;
+            fold.transactions += waves + 1;
+            fold.atomics += len;
+            fold.tail_idle += (waves * lanes_per_wave - len) * costs.atomic_global;
+            debug_assert!(newly.len() < newly.capacity());
+            newly.push(i);
+        }
+        cycles
+    };
+    // Probes and prices every set owned by the slots of `item`'s warps
+    // (warp `w` is slots `32w .. 32w + 32`).
+    let scan = |v: VertexId, covered: &[bool], item: &ScanItem| {
+        let mut fold = ScanFold::default();
+        let mut newly = item.newly_covered.lock();
+        for w in item.warps.clone() {
+            let first = w * WARP_SIZE;
+            let width = WARP_SIZE.min(used_slots - first);
+            let mut lanes = [0u64; WARP_SIZE];
+            for base in (first..num_sets).step_by(used_slots) {
+                for (lane, i) in lanes.iter_mut().zip(base..(base + width).min(num_sets)) {
+                    // A covered set costs its F[i] load only (coalesced).
+                    *lane += if covered[i] {
+                        costs.alu
+                    } else {
+                        price(v, i, &mut fold, &mut newly)
+                    };
+                }
+            }
+            let wmax = lanes.iter().copied().max().unwrap_or(0);
+            fold.makespan = fold.makespan.max(wmax);
+            fold.warp_max_sum += wmax;
+            fold.slot_sum += lanes.iter().sum::<u64>();
+        }
+        fold
+    };
 
-    let push_iteration =
-        |total_cycles: u64, launches: u64, hw: KernelHw, iters: &mut Vec<SelectIteration>| {
-            let done: u64 = iters.iter().map(|it| it.cycles).sum();
-            let done_launches: u64 = iters.iter().map(|it| it.launches).sum();
-            let cycles = total_cycles - done;
-            let l = launches - done_launches;
-            iters.push(SelectIteration {
-                cycles,
-                launches: l,
-                elapsed_us: spec.cycles_to_us(cycles) + l as f64 * costs.kernel_launch_us,
-                hw,
-            });
-        };
+    let iteration = |cycles: u64, launches: u64, hw: KernelHw| SelectIteration {
+        cycles,
+        launches,
+        elapsed_us: spec.cycles_to_us(cycles) + launches as f64 * costs.kernel_launch_us,
+        hw,
+    };
 
     let warp_slots = spec.warp_slots() as u64;
     for _ in 0..k {
@@ -140,96 +242,36 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
             ..KernelHw::default()
         };
         hw.global_bytes = hw.global_transactions * GLOBAL_TRANSACTION_BYTES;
-        let best = if serial {
-            let mut best = (0u32, usize::MAX);
-            for (v, &c) in counts.iter().enumerate() {
-                if !selected[v] && (best.1 == usize::MAX || c > best.0) {
-                    best = (c, v);
-                }
+        let mut best: Option<(u32, usize)> = None;
+        for (u, &c) in counts.iter().enumerate() {
+            if !selected[u] && best.is_none_or(|(bc, _)| c > bc) {
+                best = Some((c, u));
             }
-            best
-        } else {
-            (0..n)
-                .into_par_iter()
-                .filter(|&v| !selected[v])
-                .map(|v| (counts[v], v))
-                .reduce(
-                    || (0u32, usize::MAX),
-                    |a, b| {
-                        if b.0 > a.0 || (b.0 == a.0 && b.1 < a.1) {
-                            b
-                        } else {
-                            a
-                        }
-                    },
-                )
-        };
-        if best.1 == usize::MAX {
+        }
+        let Some((gain, best)) = best else {
             // The dangling argmax still launched: give it its own entry so
             // the breakdown sums to the totals.
-            push_iteration(total_cycles, launches, hw, &mut iterations);
+            iterations.push(iteration(argmax_cycles, 1, hw));
             break;
-        }
-        let v = best.1 as VertexId;
-        selected[best.1] = true;
+        };
+        let v = best as VertexId;
+        selected[best] = true;
         seeds.push(v);
 
-        // Membership scan (Algorithm 3): per-set cost depends on covered
-        // state, probe count, and — when found — the count-update work.
-        // Each entry: (cycles, found, global transactions, atomics,
-        // tail-wave idle lane-cycles for WarpPerSet).
-        let scan_set = |i: usize| {
-            {
-                if covered_flags[i] {
-                    // F[i] load only (coalesced).
-                    return (costs.alu, false, 0, 0, 0);
-                }
-                let (found, probes) = store.contains_with_probes(i, v);
-                let len = store.set_len(i) as u64;
-                let (cycles, txns, atomics, tail_idle) = match strategy {
-                    ScanStrategy::ThreadPerSet => {
-                        // Each probe is a dependent, uncoalesced load into R.
-                        let search = probes as u64 * costs.global_latency;
-                        if found {
-                            // Serial decrement of every member's count.
-                            let c = search + costs.atomic_global * len + costs.global_access;
-                            (c, probes as u64 + len + 1, len, 0)
-                        } else {
-                            (search, probes as u64, 0, 0)
-                        }
-                    }
-                    ScanStrategy::WarpPerSet => {
-                        let rounds = (probes as u64).div_ceil(WARP_SEARCH_SPEEDUP);
-                        let search = rounds * costs.global_latency;
-                        if found {
-                            // 32 lanes decrement cooperatively; the final
-                            // partial wave predicates off its unused lanes.
-                            let waves = len.div_ceil(WARP_SIZE as u64);
-                            let c = search + costs.atomic_global * waves + costs.global_access;
-                            let idle = (waves * WARP_SIZE as u64 - len) * costs.atomic_global;
-                            (c, rounds + waves + 1, len, idle)
-                        } else {
-                            (search, rounds, 0, 0)
-                        }
-                    }
-                };
-                (costs.alu + cycles, found, txns, atomics, tail_idle)
-            }
-        };
-        let per_set: Vec<(u64, bool, u64, u64, u64)> = if serial {
-            (0..num_sets).map(scan_set).collect()
-        } else {
-            (0..num_sets).into_par_iter().map(scan_set).collect()
-        };
-        // Round-robin slot assignment (the §3.5 schedule): the scan drains
-        // when the busiest slot does; the per-slot sums also feed the
-        // occupancy and divergence counters below.
-        let mut slot_sums = vec![0u64; used_slots];
-        for (i, &(c, ..)) in per_set.iter().enumerate() {
-            slot_sums[i % used_slots] += c;
+        // Membership scan (Algorithm 3), folded over warps of slots. The
+        // pick newly covers exactly `gain` sets, so each item's list is sized
+        // for that here, on this thread: lists grown on the workers raised
+        // the process's peak RSS.
+        for item in &mut items {
+            let newly = item.newly_covered.get_mut();
+            newly.clear();
+            newly.reserve(item.owned.min(gain as usize));
         }
-        let scan_makespan = slot_sums.iter().copied().max().unwrap_or(0);
-        total_cycles += scan_makespan;
+        let fold = items
+            .par_iter()
+            .map(|item| scan(v, &covered_flags, item))
+            .reduce(ScanFold::default, ScanFold::merge);
+        total_cycles += fold.makespan;
         launches += 1;
 
         match strategy {
@@ -237,43 +279,38 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
                 // 32 consecutive thread slots form a warp; the warp is
                 // resident until its slowest lane drains, and every cycle a
                 // lane waits under that makespan is divergence.
-                for warp in slot_sums.chunks(WARP_SIZE) {
-                    let wmax = warp.iter().copied().max().unwrap_or(0);
-                    let wsum: u64 = warp.iter().sum();
-                    hw.occ_busy_cycles += wmax;
-                    hw.active_lane_cycles += wsum;
-                    hw.idle_lane_cycles += WARP_SIZE as u64 * wmax - wsum;
-                }
+                hw.occ_busy_cycles += fold.warp_max_sum;
+                hw.active_lane_cycles += fold.slot_sum;
+                hw.idle_lane_cycles += WARP_SIZE as u64 * fold.warp_max_sum - fold.slot_sum;
             }
             ScanStrategy::WarpPerSet => {
                 // Each warp slot is busy for its summed per-set cycles; the
                 // only predicated-off lanes are the atomic tail waves.
-                let scanned: u64 = slot_sums.iter().sum();
-                let tail_idle: u64 = per_set.iter().map(|&(.., idle)| idle).sum();
-                hw.occ_busy_cycles += scanned;
-                hw.active_lane_cycles += (WARP_SIZE as u64 * scanned).saturating_sub(tail_idle);
-                hw.idle_lane_cycles += tail_idle;
+                hw.occ_busy_cycles += fold.slot_sum;
+                hw.active_lane_cycles +=
+                    (WARP_SIZE as u64 * fold.slot_sum).saturating_sub(fold.tail_idle);
+                hw.idle_lane_cycles += fold.tail_idle;
             }
         }
-        hw.occ_capacity_cycles += warp_slots * scan_makespan;
-        let scan_txns: u64 = per_set.iter().map(|&(_, _, t, ..)| t).sum();
-        hw.global_transactions += scan_txns;
-        hw.global_bytes += scan_txns * GLOBAL_TRANSACTION_BYTES;
-        hw.atomics += per_set.iter().map(|&(_, _, _, a, _)| a).sum::<u64>();
+        hw.occ_capacity_cycles += warp_slots * fold.makespan;
+        hw.global_transactions += fold.transactions;
+        hw.global_bytes += fold.transactions * GLOBAL_TRANSACTION_BYTES;
+        hw.atomics += fold.atomics;
 
         // Apply the updates the scan performed (host mirror of the device
         // writes): mark covered sets, decrement member counts.
-        for (i, &(_, found, ..)) in per_set.iter().enumerate() {
-            if found {
-                covered_flags[i] = true;
-                covered += 1;
-                let (s, e) = store.set_bounds(i);
-                for idx in s..e {
-                    counts[store.element(idx) as usize] -= 1;
-                }
+        for &i in items
+            .iter_mut()
+            .flat_map(|item| item.newly_covered.get_mut().iter())
+        {
+            covered_flags[i] = true;
+            covered += 1;
+            let (s, e) = store.set_bounds(i);
+            for idx in s..e {
+                counts[store.element(idx) as usize] -= 1;
             }
         }
-        push_iteration(total_cycles, launches, hw, &mut iterations);
+        iterations.push(iteration(argmax_cycles + fold.makespan, 2, hw));
     }
 
     DeviceSelection {
@@ -287,6 +324,44 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
         launches,
         iterations,
     }
+}
+
+/// Membership-scan totals of one pick over a range of warps. Every field is
+/// an integer sum or max, so any split of the warps folds to the same
+/// totals.
+#[derive(Default)]
+struct ScanFold {
+    /// The busiest slot's summed cycles: the scan's makespan.
+    makespan: u64,
+    /// Sum over warps of the warp's busiest-slot cycles.
+    warp_max_sum: u64,
+    /// Sum over slots of each slot's summed cycles.
+    slot_sum: u64,
+    transactions: u64,
+    atomics: u64,
+    /// Lane-cycles predicated off in partial decrement waves.
+    tail_idle: u64,
+}
+
+impl ScanFold {
+    fn merge(mut self, o: ScanFold) -> ScanFold {
+        self.makespan = self.makespan.max(o.makespan);
+        self.warp_max_sum += o.warp_max_sum;
+        self.slot_sum += o.slot_sum;
+        self.transactions += o.transactions;
+        self.atomics += o.atomics;
+        self.tail_idle += o.tail_idle;
+        self
+    }
+}
+
+/// One parallel work item of the membership scan: a range of warps, the
+/// number of sets they own, and the sets its latest scan newly covered.
+/// Only the worker scanning the item takes its lock.
+struct ScanItem {
+    warps: Range<usize>,
+    owned: usize,
+    newly_covered: Mutex<Vec<usize>>,
 }
 
 #[cfg(test)]

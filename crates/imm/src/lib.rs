@@ -50,7 +50,7 @@ pub use rrrstore::{
     RrrSets, RrrStoreBuilder, COMPRESSED_BLOCK_SETS,
 };
 pub use selection::{
-    select_seeds, select_seeds_celf, select_seeds_reference, select_seeds_reference_with_gains,
+    select_seeds, select_seeds_reference, select_seeds_reference_with_gains,
     select_seeds_with_gains, Selection, SelectionWorkspace,
 };
 pub use source_elim::apply_source_elimination;

@@ -340,60 +340,6 @@ pub fn select_seeds_reference_with_gains<S: RrrSets + ?Sized>(
     )
 }
 
-/// CELF (lazy greedy) reference selector. Exact same maximization as
-/// [`select_seeds`], implemented independently with a priority queue over an
-/// explicit `Vec<Vec<_>>` inverted index — used by tests to cross-validate
-/// coverage.
-pub fn select_seeds_celf<S: RrrSets + ?Sized>(store: &S, k: usize) -> Selection {
-    let n = store.num_vertices();
-    let num_sets = store.num_sets();
-    // Inverted index: vertex -> sets containing it.
-    let mut sets_of: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for i in 0..num_sets {
-        let (s, e) = store.set_bounds(i);
-        for idx in s..e {
-            sets_of[store.element(idx) as usize].push(i as u32);
-        }
-    }
-    let mut covered = vec![false; num_sets];
-    let mut covered_count = 0usize;
-    // Heap of (gain, Reverse(vertex), round_validated).
-    let mut heap: BinaryHeap<(u32, Reverse<u32>, usize)> = (0..n as u32)
-        .map(|v| (sets_of[v as usize].len() as u32, Reverse(v), 0))
-        .collect();
-    let mut seeds = Vec::with_capacity(k);
-    let mut round = 0usize;
-    while seeds.len() < k {
-        let Some((gain, Reverse(v), validated)) = heap.pop() else {
-            break;
-        };
-        if validated == round {
-            // Gain is current: select.
-            seeds.push(v);
-            round += 1;
-            for &i in &sets_of[v as usize] {
-                if !covered[i as usize] {
-                    covered[i as usize] = true;
-                    covered_count += 1;
-                }
-            }
-            let _ = gain;
-        } else {
-            // Stale: recompute and reinsert (the lazy step).
-            let fresh = sets_of[v as usize]
-                .iter()
-                .filter(|&&i| !covered[i as usize])
-                .count() as u32;
-            heap.push((fresh, Reverse(v), round));
-        }
-    }
-    Selection {
-        seeds,
-        covered_sets: covered_count,
-        num_sets,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,33 +428,6 @@ mod tests {
         assert_eq!(gains.iter().sum::<usize>(), sel.covered_sets);
         // Submodularity of coverage: marginal gains never increase.
         assert!(gains.windows(2).all(|w| w[0] >= w[1]), "{gains:?}");
-    }
-
-    #[test]
-    fn celf_matches_greedy_coverage_randomized() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
-        for trial in 0..20 {
-            let n = 60;
-            let mut store = PlainRrrStore::new(n);
-            for _ in 0..150 {
-                let len = rng.gen_range(1..8);
-                let mut set: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
-                set.sort_unstable();
-                set.dedup();
-                store.append_set(&set);
-            }
-            for k in [1, 3, 7] {
-                let a = select_seeds(&store, k);
-                let b = select_seeds_celf(&store, k);
-                // Greedy max-coverage is deterministic up to tie-breaking;
-                // covered counts must agree exactly.
-                assert_eq!(
-                    a.covered_sets, b.covered_sets,
-                    "trial {trial} k {k}: {:?} vs {:?}",
-                    a.seeds, b.seeds
-                );
-            }
-        }
     }
 
     #[test]
