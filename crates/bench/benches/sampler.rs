@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use eim_bitpack::PackedCsc;
 use eim_core::sampler::sample_batch;
-use eim_core::PlainDeviceGraph;
+use eim_core::{PackedDeviceGraph, PlainDeviceGraph};
 use eim_diffusion::DiffusionModel;
 use eim_gpusim::{Device, DeviceSpec};
 use eim_graph::{generators, Graph, WeightModel};
@@ -24,7 +24,7 @@ fn graph() -> Graph {
 fn bench_device_sampler(c: &mut Criterion) {
     let g = graph();
     let plain = PlainDeviceGraph::new(&g);
-    let packed = PackedCsc::from_graph(&g);
+    let packed = PackedDeviceGraph::new(PackedCsc::from_graph(&g));
     let device = Device::new(DeviceSpec::rtx_a6000());
     let batch = 4_096usize;
     let mut group = c.benchmark_group("sampler/device_ic");

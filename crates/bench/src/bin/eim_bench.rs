@@ -72,9 +72,10 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use eim_bitpack::PackedCsc;
 use eim_core::sampler::sample_batch;
 use eim_core::select::select_on_device;
-use eim_core::{EimEngine, MultiGpuEimEngine, PlainDeviceGraph, ScanStrategy};
+use eim_core::{EimEngine, MultiGpuEimEngine, PackedDeviceGraph, ScanStrategy};
 use eim_diffusion::DiffusionModel;
 use eim_gpusim::{
     provenance, write_metrics_file, Device, DeviceSpec, FaultSpec, MetricsRegistry, MetricsSink,
@@ -564,7 +565,8 @@ fn run_benches(
             .with_copy_overlap(overlap)
     };
 
-    // Sampler: one big batch on a scale-free graph.
+    // Sampler: one big batch on a scale-free graph, over the log-encoded
+    // view the eIM engine samples from under `paper_default`.
     let g = generators::rmat(
         w.smp_n,
         w.smp_m,
@@ -572,7 +574,7 @@ fn run_benches(
         WeightModel::WeightedCascade,
         seed,
     );
-    let dg = PlainDeviceGraph::new(&g);
+    let dg = PackedDeviceGraph::new(PackedCsc::from_graph(&g));
     let device = make_device(DeviceSpec::rtx_a6000());
     let mut sampled_sets = 0usize;
     let mut last_batch = None;

@@ -92,7 +92,15 @@ impl PackedCsc {
     pub fn in_neighbor(&self, v: VertexId, idx: usize) -> VertexId {
         let (start, end) = self.row_bounds(v);
         debug_assert!(start + idx < end);
-        self.neighbors.get(start + idx) as VertexId
+        self.neighbor_at(start + idx)
+    }
+
+    /// Decodes the neighbor at flat index `e` of the neighbor stream (row
+    /// `v` spans [`PackedCsc::row_bounds`]`(v)`) — one packed read, for
+    /// callers that already hold the row start.
+    #[inline]
+    pub fn neighbor_at(&self, e: usize) -> VertexId {
+        self.neighbors.get(e) as VertexId
     }
 
     /// Weight of the `idx`-th in-edge of `v`.
@@ -122,6 +130,7 @@ impl PackedCsc {
     /// The raw weight slice of neighbor-stream range `start..end` when
     /// weights are stored plain; `None` when they derive from the row
     /// length (`p = 1 / d`).
+    #[inline]
     pub fn plain_weights(&self, start: usize, end: usize) -> Option<&[Weight]> {
         match &self.weights {
             WeightStorage::Plain(w) => Some(&w[start..end]),
@@ -296,6 +305,9 @@ mod tests {
             out.clear();
             p.decode_neighbors_into(s, e, &mut out);
             assert_eq!(out, g.in_neighbors(v), "row {v}");
+            for (i, &u) in out.iter().enumerate() {
+                assert_eq!(p.neighbor_at(s + i), u, "row {v} edge {i}");
+            }
         }
         // The empty row must not disturb pre-existing output contents.
         let (s, e) = p.row_bounds(2);

@@ -1,4 +1,12 @@
 //! Kernel-facing graph view: plain or log-encoded CSC.
+//!
+//! Both views precompute, once per run, the unpacked row starts and the
+//! per-edge integer acceptance thresholds ([`weight_threshold`]). The fused
+//! IC sampler scans a row through [`DeviceGraph::in_row`] — its first edge
+//! index and threshold slice — and resolves a neighbor id through
+//! [`DeviceGraph::neighbor_at`] only for an edge its draw accepts. On the
+//! log-encoded view that is one packed decode per accepted edge rather than
+//! a decode of every neighbor of every dequeued row.
 
 use eim_bitpack::PackedCsc;
 use eim_graph::{Graph, VertexId, Weight};
@@ -17,16 +25,6 @@ pub fn weight_threshold(p: f32) -> u32 {
     ((p as f64 * 16_777_216.0).floor() as u64).min(u32::MAX as u64) as u32
 }
 
-/// Reusable decode buffer for [`DeviceGraph::in_edges`] on representations
-/// that cannot hand out slices directly (the log-encoded CSC decodes through
-/// it). Lives in the sampler's per-worker launch scratch so no allocation
-/// happens mid-traversal.
-#[derive(Default)]
-pub struct EdgeScratch {
-    nbrs: Vec<VertexId>,
-    thresholds: Vec<u32>,
-}
-
 /// What a sampling kernel needs from the device-resident network data,
 /// independent of whether it is log-encoded.
 pub trait DeviceGraph: Sync {
@@ -40,37 +38,22 @@ pub trait DeviceGraph: Sync {
     fn in_weight(&self, v: VertexId, i: usize) -> Weight;
     /// Bytes this representation occupies on the device.
     fn device_bytes(&self) -> usize;
-
-    /// `v`'s full in-neighbor list alongside the integer acceptance
-    /// thresholds of its edge weights ([`weight_threshold`]) — the chunked
-    /// CSC view the fused sampler scans. The default decodes edge by edge
-    /// into `scratch`; representations with contiguous storage override it
-    /// to return their own slices zero-copy.
-    fn in_edges<'a>(
-        &'a self,
-        v: VertexId,
-        scratch: &'a mut EdgeScratch,
-    ) -> (&'a [VertexId], &'a [u32]) {
-        let d = self.in_degree(v);
-        scratch.nbrs.clear();
-        scratch.thresholds.clear();
-        scratch.nbrs.reserve(d);
-        scratch.thresholds.reserve(d);
-        for i in 0..d {
-            scratch.nbrs.push(self.in_neighbor(v, i));
-            scratch
-                .thresholds
-                .push(weight_threshold(self.in_weight(v, i)));
-        }
-        (&scratch.nbrs, &scratch.thresholds)
-    }
+    /// `v`'s in-row as the fused sampler scans it: the flat CSC index of
+    /// its first in-edge, and the integer acceptance thresholds
+    /// ([`weight_threshold`]) of its edges in row order. Edge `i` of the
+    /// row has flat index `first + i`; [`DeviceGraph::neighbor_at`]
+    /// resolves it only once a draw accepts the edge.
+    fn in_row(&self, v: VertexId) -> (usize, &[u32]);
+    /// The in-neighbor at flat CSC edge index `e` (see
+    /// [`DeviceGraph::in_row`]).
+    fn neighbor_at(&self, e: usize) -> VertexId;
 }
 
 /// Plain (uncompressed) CSC view — what gIM keeps on the device.
 ///
 /// Construction precomputes the flat per-edge threshold array mirroring the
-/// CSC weight array, so [`DeviceGraph::in_edges`] is zero-copy; engines
-/// build the view once per run, amortizing the `O(m)` pass.
+/// CSC weight array, so [`DeviceGraph::in_row`] is a slice; engines build
+/// the view once per run, amortizing the `O(m)` pass.
 pub struct PlainDeviceGraph<'g> {
     graph: &'g Graph,
     /// Exclusive prefix of in-degrees: edge range of `v` in `thresholds`.
@@ -120,16 +103,15 @@ impl DeviceGraph for PlainDeviceGraph<'_> {
         // device), so the footprint matches the plain CSC layout.
         self.graph.csc_bytes()
     }
-    fn in_edges<'a>(
-        &'a self,
-        v: VertexId,
-        _scratch: &'a mut EdgeScratch,
-    ) -> (&'a [VertexId], &'a [u32]) {
+    fn in_row(&self, v: VertexId) -> (usize, &[u32]) {
         let (s, e) = (
             self.edge_starts[v as usize],
             self.edge_starts[v as usize + 1],
         );
-        (self.graph.in_neighbors(v), &self.thresholds[s..e])
+        (s, &self.thresholds[s..e])
+    }
+    fn neighbor_at(&self, e: usize) -> VertexId {
+        self.graph.csc().neighbors()[e]
     }
 }
 
@@ -139,9 +121,9 @@ impl DeviceGraph for PlainDeviceGraph<'_> {
 /// arrays — thresholds re-encode the weight array at the same 4 bytes per
 /// edge the plain view claims, and the row starts mirror the packed
 /// offsets — so [`DeviceGraph::device_bytes`] delegates to the packed
-/// representation unchanged. What remains per [`DeviceGraph::in_edges`]
-/// call is the sequential neighbor decode, the one cost intrinsic to the
-/// log-encoded format.
+/// representation unchanged. Per access, only neighbor ids are decoded: one
+/// [`PackedCsc::neighbor_at`] per edge the sampler accepts (IC) or the
+/// walk chooses (LT), never a whole row.
 pub struct PackedDeviceGraph {
     csc: PackedCsc,
     /// Exclusive prefix of in-degrees: edge range of `v` in `thresholds`
@@ -183,6 +165,12 @@ impl PackedDeviceGraph {
     pub fn csc(&self) -> &PackedCsc {
         &self.csc
     }
+
+    /// Start/end of row `v` in the flat edge order.
+    #[inline]
+    fn row_bounds(&self, v: VertexId) -> (usize, usize) {
+        (self.row_starts[v as usize], self.row_starts[v as usize + 1])
+    }
 }
 
 impl DeviceGraph for PackedDeviceGraph {
@@ -193,68 +181,58 @@ impl DeviceGraph for PackedDeviceGraph {
         self.row_starts[v as usize + 1] - self.row_starts[v as usize]
     }
     fn in_neighbor(&self, v: VertexId, i: usize) -> VertexId {
-        self.csc.in_neighbor(v, i)
+        self.csc.neighbor_at(self.row_starts[v as usize] + i)
     }
     fn in_weight(&self, v: VertexId, i: usize) -> Weight {
-        self.csc.in_weight(v, i)
+        let (start, end) = self.row_bounds(v);
+        match self.csc.plain_weights(start, end) {
+            Some(ws) => ws[i],
+            // Derived weights: `1 / d`, exactly as `PackedCsc::in_weight`.
+            None => 1.0 / (end - start) as Weight,
+        }
     }
     fn device_bytes(&self) -> usize {
         self.csc.bytes()
     }
-    fn in_edges<'a>(
-        &'a self,
-        v: VertexId,
-        scratch: &'a mut EdgeScratch,
-    ) -> (&'a [VertexId], &'a [u32]) {
-        let (start, end) = (self.row_starts[v as usize], self.row_starts[v as usize + 1]);
-        scratch.nbrs.clear();
-        self.csc
-            .decode_neighbors_into(start, end, &mut scratch.nbrs);
-        (&scratch.nbrs, &self.thresholds[start..end])
+    fn in_row(&self, v: VertexId) -> (usize, &[u32]) {
+        let (start, end) = self.row_bounds(v);
+        (start, &self.thresholds[start..end])
+    }
+    fn neighbor_at(&self, e: usize) -> VertexId {
+        self.csc.neighbor_at(e)
     }
 }
 
-impl DeviceGraph for PackedCsc {
-    fn n(&self) -> usize {
-        self.num_vertices()
-    }
-    fn in_degree(&self, v: VertexId) -> usize {
-        PackedCsc::in_degree(self, v)
-    }
-    fn in_neighbor(&self, v: VertexId, i: usize) -> VertexId {
-        PackedCsc::in_neighbor(self, v, i)
-    }
-    fn in_weight(&self, v: VertexId, i: usize) -> Weight {
-        PackedCsc::in_weight(self, v, i)
-    }
-    fn device_bytes(&self) -> usize {
-        self.bytes()
-    }
-    fn in_edges<'a>(
-        &'a self,
-        v: VertexId,
-        scratch: &'a mut EdgeScratch,
-    ) -> (&'a [VertexId], &'a [u32]) {
-        // One offset decode per row plus a rolling sequential neighbor
-        // decode, instead of the default's per-edge accessors (each of
-        // which re-derives the row bounds from the packed offsets).
-        let (start, end) = self.row_bounds(v);
-        scratch.nbrs.clear();
-        scratch.thresholds.clear();
-        self.decode_neighbors_into(start, end, &mut scratch.nbrs);
-        match self.plain_weights(start, end) {
-            Some(ws) => scratch
-                .thresholds
-                .extend(ws.iter().map(|&p| weight_threshold(p))),
-            None => {
-                // Derived weights are constant across the row.
-                let d = end - start;
-                let t = weight_threshold(if d == 0 { 0.0 } else { 1.0 / d as Weight });
-                scratch.thresholds.resize(d, t);
-            }
-        }
-        (&scratch.nbrs, &scratch.thresholds)
-    }
+/// Test graph whose vertex count (1000) is not a power of two, so packed
+/// 10-bit neighbor ids straddle 64-bit words, with four hub rows of
+/// in-degree > 256 that make the fused scan cross a 128-word keystream
+/// refill in the middle of a row. Hubs point at one another, so IC
+/// traversals revisit them.
+#[cfg(test)]
+pub(crate) fn hub_graph() -> Graph {
+    use eim_graph::{generators, GraphBuilder, WeightModel};
+    let n = 1_000u32;
+    let background = generators::rmat(
+        n as usize,
+        5_000,
+        generators::RmatParams::GRAPH500,
+        WeightModel::WeightedCascade,
+        29,
+    );
+    let hubs = [3u32, 500, 777, 998];
+    let hub_edges = hubs.iter().flat_map(|&h| {
+        (0..n)
+            .filter(move |u| (u * 7 + h) % 3 != 0)
+            .map(move |u| (u, h))
+    });
+    GraphBuilder::new(n as usize)
+        .edges(
+            background
+                .iter_edges()
+                .map(|(u, v, _)| (u, v))
+                .chain(hub_edges),
+        )
+        .build(WeightModel::WeightedCascade)
 }
 
 #[cfg(test)]
@@ -262,61 +240,67 @@ mod tests {
     use super::*;
     use eim_graph::{generators, WeightModel};
 
-    #[test]
-    fn plain_and_packed_views_agree() {
-        let g = generators::rmat(
+    fn graphs() -> Vec<Graph> {
+        let rmat = generators::rmat(
             400,
             2_000,
             generators::RmatParams::GRAPH500,
             WeightModel::WeightedCascade,
             3,
         );
-        let plain = PlainDeviceGraph::new(&g);
-        let packed = PackedCsc::from_graph(&g);
-        assert_eq!(plain.n(), packed.n());
-        for v in (0..400u32).step_by(7) {
-            assert_eq!(plain.in_degree(v), DeviceGraph::in_degree(&packed, v));
-            for i in 0..plain.in_degree(v) {
-                assert_eq!(
-                    plain.in_neighbor(v, i),
-                    DeviceGraph::in_neighbor(&packed, v, i)
-                );
-                assert_eq!(plain.in_weight(v, i), DeviceGraph::in_weight(&packed, v, i));
-            }
-        }
-        assert!(packed.device_bytes() < plain.device_bytes());
+        let hubs = hub_graph();
+        assert!((0..1_000u32).any(|v| hubs.in_degree(v) > 256));
+        vec![rmat, hubs]
     }
 
     #[test]
-    fn in_edges_zero_copy_and_scratch_paths_agree() {
-        let g = generators::rmat(
-            300,
-            1_500,
-            generators::RmatParams::GRAPH500,
-            WeightModel::WeightedCascade,
-            9,
-        );
-        let plain = PlainDeviceGraph::new(&g);
-        let packed = PackedCsc::from_graph(&g);
-        let derived = PackedCsc::from_graph_derived(&g);
-        let mut s1 = EdgeScratch::default();
-        let mut s2 = EdgeScratch::default();
-        let mut s3 = EdgeScratch::default();
-        for v in 0..300u32 {
-            let (pn, pt) = plain.in_edges(v, &mut s1);
-            let (kn, kt) = packed.in_edges(v, &mut s2);
-            assert_eq!(pn, kn);
-            assert_eq!(pt, kt);
-            assert_eq!(pn.len(), plain.in_degree(v));
-            for (i, &t) in pt.iter().enumerate() {
-                assert_eq!(t, weight_threshold(plain.in_weight(v, i)));
+    fn plain_and_packed_views_agree() {
+        for g in graphs() {
+            let plain = PlainDeviceGraph::new(&g);
+            let packed = PackedDeviceGraph::new(PackedCsc::from_graph(&g));
+            let derived = PackedDeviceGraph::new(PackedCsc::from_graph_derived(&g));
+            assert_eq!(plain.n(), packed.n());
+            for v in 0..g.num_vertices() as VertexId {
+                assert_eq!(plain.in_degree(v), packed.in_degree(v));
+                assert_eq!(plain.in_degree(v), derived.in_degree(v));
+                for i in 0..plain.in_degree(v) {
+                    assert_eq!(plain.in_neighbor(v, i), packed.in_neighbor(v, i));
+                    assert_eq!(plain.in_neighbor(v, i), derived.in_neighbor(v, i));
+                    // The LT walk's prefix sums read these: bit-identical to
+                    // the packed representation's own accessor.
+                    for view in [&packed, &derived] {
+                        assert_eq!(
+                            view.in_weight(v, i).to_bits(),
+                            view.csc().in_weight(v, i).to_bits()
+                        );
+                    }
+                    assert_eq!(plain.in_weight(v, i), packed.in_weight(v, i));
+                }
             }
-            // Derived weights (weighted cascade): same neighbors, and each
-            // threshold encodes 1/d exactly as the per-edge accessor does.
-            let (dn, dt) = derived.in_edges(v, &mut s3);
-            assert_eq!(pn, dn);
-            for (i, &t) in dt.iter().enumerate() {
-                assert_eq!(t, weight_threshold(DeviceGraph::in_weight(&derived, v, i)));
+            assert!(packed.device_bytes() < plain.device_bytes());
+        }
+    }
+
+    #[test]
+    fn in_row_views_agree_with_per_edge_accessors() {
+        for g in graphs() {
+            let plain = PlainDeviceGraph::new(&g);
+            let packed = PackedDeviceGraph::new(PackedCsc::from_graph(&g));
+            let derived = PackedDeviceGraph::new(PackedCsc::from_graph_derived(&g));
+            for v in 0..g.num_vertices() as VertexId {
+                assert_eq!(plain.in_row(v), packed.in_row(v));
+                assert_eq!(plain.in_row(v).0, derived.in_row(v).0);
+                let views: [&dyn DeviceGraph; 3] = [&plain, &packed, &derived];
+                for view in views {
+                    let (first, thresholds) = view.in_row(v);
+                    assert_eq!(thresholds.len(), view.in_degree(v));
+                    for (i, &t) in thresholds.iter().enumerate() {
+                        assert_eq!(view.neighbor_at(first + i), view.in_neighbor(v, i));
+                        // Derived weights (weighted cascade) encode 1/d
+                        // exactly as the per-edge accessor does.
+                        assert_eq!(t, weight_threshold(view.in_weight(v, i)));
+                    }
+                }
             }
         }
     }

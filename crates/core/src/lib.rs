@@ -40,9 +40,7 @@ pub mod sampler;
 pub mod select;
 
 pub use builder::{EimBuilder, EimResult};
-pub use device_graph::{
-    weight_threshold, DeviceGraph, EdgeScratch, PackedDeviceGraph, PlainDeviceGraph,
-};
+pub use device_graph::{weight_threshold, DeviceGraph, PackedDeviceGraph, PlainDeviceGraph};
 pub use engine::EimEngine;
 pub use memory::MemoryFootprint;
 pub use multigpu::{DeviceRecoverySummary, MultiGpuEimEngine};

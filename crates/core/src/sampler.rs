@@ -19,17 +19,23 @@
 //! place on that arena segment, the visited-bitmap reset is folded into the
 //! same epilogue walk, and the per-vertex coverage histogram `C` is updated
 //! in flight (the publish step's scattered atomics). Frontier expansion is
-//! vectorized: each dequeued vertex's CSC neighbor slice is scanned in
-//! chunks against raw RNG keystream words ([`rand_chacha::ChaCha8Rng`]'s
-//! SIMD block refill) using precomputed integer acceptance thresholds
+//! vectorized and threshold-first: each dequeued vertex's threshold slice
+//! ([`DeviceGraph::in_row`]) is scanned in chunks against raw RNG keystream
+//! words ([`rand_chacha::ChaCha8Rng`]'s SIMD block refill) using
+//! precomputed integer acceptance thresholds
 //! ([`crate::device_graph::weight_threshold`]) — bit-identical to the
-//! per-edge float draw of the reference path.
+//! per-edge float draw of the reference path — and a neighbor id is
+//! decoded ([`DeviceGraph::neighbor_at`]) only for an edge the draw
+//! accepts. Under weighted cascade a row's weights sum to 1, so about one
+//! edge per row is decoded however long the row is. The simulated warp
+//! still loads every neighbor id, so the cycle charges are unchanged; the
+//! saving is host time only.
 //!
-//! [`sample_batch_reference`] keeps the pre-fusion three-pass kernel
-//! (traverse into a scratch queue, sort, copy out) as the differential
-//! oracle: both paths consume identical RNG streams and produce
-//! byte-identical [`FlatSampleSets`], identical [`SamplerCounters`], and
-//! identical coverage histograms.
+//! The test build keeps the pre-fusion three-pass kernel (traverse into a
+//! scratch queue with per-edge float draws, sort, copy out) as the
+//! differential oracle: both paths consume identical RNG streams and
+//! produce byte-identical [`FlatSampleSets`], identical
+//! [`SamplerCounters`], and identical coverage histograms.
 //!
 //! Blocks do the traversal work for real and charge warp-level costs; the
 //! resulting sets are bit-identical across runs because every set index
@@ -37,8 +43,7 @@
 //!
 //! Host-side, the batch mirrors the device layout: every block appends its
 //! finished sets into one flat offsets + data arena (no per-set `Vec`), the
-//! traversal scratch (`M` bitmap and edge-decode buffer) lives in a
-//! per-worker arena reused across blocks
+//! visited bitmap `M` lives in a per-worker arena reused across blocks
 //! ([`eim_gpusim::Device::launch_with_scratch`]), and the merged
 //! [`FlatSampleSets`] is ordered by sample index, so its bytes are
 //! independent of grid layout and thread count.
@@ -49,7 +54,7 @@ use eim_graph::VertexId;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::device_graph::{DeviceGraph, EdgeScratch};
+use crate::device_graph::DeviceGraph;
 
 /// Outcome counters of one sampling batch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -195,27 +200,6 @@ impl BlockOutput {
     }
 }
 
-/// Host-side traversal scratch, one per rayon worker chunk: the visited
-/// bitmap `M` (all-false between sets — Algorithm 2 line 27 restores it)
-/// plus, for the fused path, the edge-decode buffer for packed graphs.
-/// Reused across every block the worker executes; the simulated per-block
-/// memset of `M` is still charged per block.
-struct SamplerScratch {
-    visited: Vec<bool>,
-    queue: Vec<VertexId>,
-    edges: EdgeScratch,
-}
-
-impl SamplerScratch {
-    fn new(n: usize) -> Self {
-        Self {
-            visited: vec![false; n],
-            queue: Vec::new(),
-            edges: EdgeScratch::default(),
-        }
-    }
-}
-
 /// Samples RRR sets for indices `start..start + count` of run `seed` on
 /// `device`, under `model` — the fused kernel. Grid size is `4x` the SM
 /// count (persistent blocks, one warp each), with indices interleaved
@@ -239,8 +223,11 @@ pub fn sample_batch<G: DeviceGraph>(
     let result = device.launch_with_scratch(
         "eim_sample",
         blocks,
-        || SamplerScratch::new(n),
-        |ctx, scratch| {
+        // The visited bitmap `M`, one per rayon worker chunk: all-false
+        // between sets (Algorithm 2 line 27 restores it) and reused across
+        // every block the worker executes.
+        || vec![false; n],
+        |ctx, visited| {
             let b = ctx.block_id();
             // Each block zeroes its own M (Algorithm 2): the simulated cost
             // is per block even though the host bitmap is a worker arena.
@@ -250,7 +237,7 @@ pub fn sample_batch<G: DeviceGraph>(
             let mut j = b;
             while j < count {
                 let idx = start + j as u64;
-                fused_sample_one(ctx, graph, model, seed, idx, source_elim, scratch, &mut out);
+                fused_sample_one(ctx, graph, model, seed, idx, source_elim, visited, &mut out);
                 j += blocks;
             }
             out
@@ -284,8 +271,8 @@ pub fn sample_indices<G: DeviceGraph>(
     let result = device.launch_with_scratch(
         "eim_sample",
         blocks,
-        || SamplerScratch::new(n),
-        |ctx, scratch| {
+        || vec![false; n],
+        |ctx, visited| {
             let b = ctx.block_id();
             ctx.charge_warp_sweep(n.div_ceil(32), ctx.spec().costs.global_access); // memset M
             let local = count.saturating_sub(b).div_ceil(blocks);
@@ -293,92 +280,7 @@ pub fn sample_indices<G: DeviceGraph>(
             let mut j = b;
             while j < count {
                 let idx = indices[j];
-                fused_sample_one(ctx, graph, model, seed, idx, source_elim, scratch, &mut out);
-                j += blocks;
-            }
-            out
-        },
-    );
-    Ok(merge_blocks(result, blocks, count, n, source_elim))
-}
-
-/// The pre-fusion sampler: traverse into a scratch queue, sort, then copy
-/// into the block output in a separate pass (charging the Q→R copy sweep
-/// the fused kernel eliminates). Retained as the differential-testing
-/// oracle — identical RNG consumption, [`FlatSampleSets`] bytes,
-/// [`SamplerCounters`], and coverage histogram as [`sample_batch`].
-pub fn sample_batch_reference<G: DeviceGraph>(
-    device: &Device,
-    graph: &G,
-    model: DiffusionModel,
-    seed: u64,
-    start: u64,
-    count: usize,
-    source_elim: bool,
-) -> Result<SampleBatch, SimFault> {
-    let n = graph.n();
-    let blocks = (device.spec().num_sms * 4).min(count.max(1));
-    device.check_kernel_fault("eim_sample")?;
-    let result = device.launch_with_scratch(
-        "eim_sample",
-        blocks,
-        || SamplerScratch::new(n),
-        |ctx, scratch| {
-            let b = ctx.block_id();
-            ctx.charge_warp_sweep(n.div_ceil(32), ctx.spec().costs.global_access); // memset M
-            let local = count.saturating_sub(b).div_ceil(blocks);
-            let mut out = BlockOutput::with_capacity(local);
-            let mut j = b;
-            while j < count {
-                let idx = start + j as u64;
-                let source = reference_sample_one(
-                    ctx,
-                    graph,
-                    model,
-                    seed,
-                    idx,
-                    &mut scratch.visited,
-                    &mut scratch.queue,
-                );
-                let set = &scratch.queue;
-                out.counters.sampled += 1;
-                if set.len() == 1 {
-                    out.counters.singletons += 1;
-                }
-                // Copy Q into the block's flat output, applying source
-                // elimination during the copy (§3.4): drop the source, and
-                // discard samples that reduce to empty.
-                let kept = if source_elim {
-                    if set.len() <= 1 {
-                        debug_assert!(set.is_empty() || set[0] == source);
-                        out.counters.discarded += 1;
-                        false
-                    } else {
-                        let before = out.data.len();
-                        for &v in set {
-                            if v != source {
-                                out.data.push(v);
-                            }
-                        }
-                        debug_assert_eq!(
-                            out.data.len() - before,
-                            set.len() - 1,
-                            "source must appear exactly once"
-                        );
-                        true
-                    }
-                } else {
-                    out.data.extend_from_slice(set);
-                    true
-                };
-                if kept {
-                    let len = out.data.len() - out.offsets.last().copied().unwrap_or(0);
-                    // The unfused kernel re-walks Q to write R.
-                    ctx.charge_warp_sweep(len, ctx.spec().costs.global_access);
-                    charge_publish(ctx, len);
-                }
-                out.offsets.push(out.data.len());
-                out.kept.push(kept);
+                fused_sample_one(ctx, graph, model, seed, idx, source_elim, visited, &mut out);
                 j += blocks;
             }
             out
@@ -459,7 +361,7 @@ fn fused_sample_one<G: DeviceGraph>(
     seed: u64,
     idx: u64,
     source_elim: bool,
-    scratch: &mut SamplerScratch,
+    visited: &mut [bool],
     out: &mut BlockOutput,
 ) {
     let mut rng = sample_rng(seed, idx);
@@ -470,15 +372,15 @@ fn fused_sample_one<G: DeviceGraph>(
     ctx.charge(Op::GlobalAccess, 1);
     let set_start = out.data.len();
     out.data.push(source);
-    scratch.visited[source as usize] = true;
+    visited[source as usize] = true;
     match model {
         DiffusionModel::IndependentCascade => {
-            ic_traverse_fused(ctx, graph, &mut rng, scratch, &mut out.data, set_start)
+            ic_traverse_fused(ctx, graph, &mut rng, visited, &mut out.data, set_start)
         }
         DiffusionModel::LinearThreshold => {
             // The LT reverse walk touches only the arena tail, so it runs
             // on the output segment directly.
-            lt_traverse(ctx, graph, &mut rng, &mut scratch.visited, &mut out.data)
+            lt_traverse(ctx, graph, &mut rng, visited, &mut out.data)
         }
     }
     let q = out.data.len() - set_start;
@@ -496,7 +398,7 @@ fn fused_sample_one<G: DeviceGraph>(
     // 27). The queue already IS R, so elimination is an in-place delete of
     // the source, not a filtered copy.
     for &v in &out.data[set_start..] {
-        scratch.visited[v as usize] = false;
+        visited[v as usize] = false;
     }
     ctx.charge(Op::GlobalAccess, q as u64);
     let kept = if source_elim {
@@ -523,54 +425,18 @@ fn fused_sample_one<G: DeviceGraph>(
     out.kept.push(kept);
 }
 
-/// Traverses one RRR set into `queue` via the unfused per-edge float path,
-/// leaving it sorted ascending, and returns the sample's source vertex.
-/// `visited` must be all-false on entry and is restored before returning.
-fn reference_sample_one<G: DeviceGraph>(
-    ctx: &mut eim_gpusim::BlockCtx,
-    graph: &G,
-    model: DiffusionModel,
-    seed: u64,
-    idx: u64,
-    visited: &mut [bool],
-    queue: &mut Vec<VertexId>,
-) -> VertexId {
-    let mut rng = sample_rng(seed, idx);
-    let n = graph.n();
-    let source: VertexId = rng.gen_range(0..n as VertexId);
-    // Thread 0 seeds the queue (Algorithm 2 lines 5–10).
-    ctx.charge(Op::Rng, 1);
-    ctx.charge(Op::GlobalAccess, 1);
-    queue.clear();
-    queue.push(source);
-    visited[source as usize] = true;
-    match model {
-        DiffusionModel::IndependentCascade => ic_traverse(ctx, graph, &mut rng, visited, queue),
-        DiffusionModel::LinearThreshold => lt_traverse(ctx, graph, &mut rng, visited, queue),
-    }
-    let q = queue.len();
-    if q > 1 {
-        charge_sort(ctx, q);
-        queue.sort_unstable();
-    }
-    // Reset M for the vertices we touched (Algorithm 2 line 27).
-    for &v in queue.iter() {
-        visited[v as usize] = false;
-    }
-    ctx.charge(Op::GlobalAccess, q as u64);
-    source
-}
-
 /// Vectorized warp-wide probabilistic BFS (IC), fused variant: every
-/// dequeued vertex's CSC neighbor slice is scanned in chunks sized by the
+/// dequeued vertex's threshold slice is scanned in chunks sized by the
 /// RNG's buffered keystream, comparing raw 24-bit draws against the
-/// precomputed integer thresholds — decision-identical to the float path
-/// of [`ic_traverse`], word for word.
+/// precomputed integer thresholds — decision-identical to the reference
+/// path's per-edge float draw, word for word. A neighbor id is decoded only
+/// when its draw accepts the edge; the warp sweep is still charged for the
+/// whole row, since the device loads every neighbor id.
 fn ic_traverse_fused<G: DeviceGraph>(
     ctx: &mut eim_gpusim::BlockCtx,
     graph: &G,
     rng: &mut ChaCha8Rng,
-    scratch: &mut SamplerScratch,
+    visited: &mut [bool],
     data: &mut Vec<VertexId>,
     set_start: usize,
 ) {
@@ -581,21 +447,25 @@ fn ic_traverse_fused<G: DeviceGraph>(
         let u = data[head];
         head += 1;
         ctx.charge(Op::GlobalAccess, 1); // Q.front() + head bump
-        let (nbrs, thresholds) = graph.in_edges(u, &mut scratch.edges);
-        let d = nbrs.len();
+        let (first, thresholds) = graph.in_row(u);
+        let d = thresholds.len();
         ctx.charge_warp_sweep(d, wave_cost);
         let mut i = 0usize;
         while i < d {
             let words = rng.peek_words();
             let take = (d - i).min(words.len());
-            for k in 0..take {
+            for (k, (&w, &t)) in words[..take]
+                .iter()
+                .zip(&thresholds[i..i + take])
+                .enumerate()
+            {
                 // One keystream word per edge: accept iff the 24-bit draw
                 // clears the threshold (exactly `r <= p` in float form).
-                if words[k] >> 8 <= thresholds[i + k] {
-                    let v = nbrs[i + k];
-                    if !scratch.visited[v as usize] {
+                if w >> 8 <= t {
+                    let v = graph.neighbor_at(first + i + k);
+                    if !visited[v as usize] {
                         // Mark in M, then atomically enqueue (§3.2).
-                        scratch.visited[v as usize] = true;
+                        visited[v as usize] = true;
                         data.push(v);
                         ctx.charge(Op::AtomicGlobal, 2); // enqueue slot + tail bump
                     }
@@ -603,40 +473,6 @@ fn ic_traverse_fused<G: DeviceGraph>(
             }
             rng.consume(take);
             i += take;
-        }
-    }
-}
-
-/// Warp-wide probabilistic BFS (IC), unfused reference: every dequeued
-/// vertex's in-neighbor list is swept 32 lanes at a time; each lane draws a
-/// uniform and activates its neighbor with probability `p_vu` (Algorithm 2
-/// lines 11–20).
-fn ic_traverse<G: DeviceGraph>(
-    ctx: &mut eim_gpusim::BlockCtx,
-    graph: &G,
-    rng: &mut impl Rng,
-    visited: &mut [bool],
-    queue: &mut Vec<VertexId>,
-) {
-    let costs = *ctx.spec();
-    let wave_cost = costs.costs.global_access + costs.costs.rng + costs.costs.alu;
-    let mut head = 0usize;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        ctx.charge(Op::GlobalAccess, 1); // Q.front() + head bump
-        let d = graph.in_degree(u);
-        ctx.charge_warp_sweep(d, wave_cost);
-        for i in 0..d {
-            let v = graph.in_neighbor(u, i);
-            let p = graph.in_weight(u, i);
-            let r: f32 = rng.gen();
-            if r <= p && !visited[v as usize] {
-                // Mark in M, then atomically enqueue (order matters; §3.2).
-                visited[v as usize] = true;
-                queue.push(v);
-                ctx.charge(Op::AtomicGlobal, 2); // enqueue slot + tail bump
-            }
         }
     }
 }
@@ -714,10 +550,167 @@ fn charge_publish(ctx: &mut eim_gpusim::BlockCtx, len: usize) {
     ctx.charge(Op::AtomicGlobal, 1); // count bump
 }
 
+/// The pre-fusion kernel, kept in the test build as the differential
+/// oracle of [`sample_batch`].
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The pre-fusion sampler: traverse into a scratch queue, sort, then copy
+    /// into the block output in a separate pass (charging the Q→R copy sweep
+    /// the fused kernel eliminates). Retained as the differential-testing
+    /// oracle — identical RNG consumption, [`FlatSampleSets`] bytes,
+    /// [`SamplerCounters`], and coverage histogram as [`sample_batch`].
+    pub(super) fn sample_batch_reference<G: DeviceGraph>(
+        device: &Device,
+        graph: &G,
+        model: DiffusionModel,
+        seed: u64,
+        start: u64,
+        count: usize,
+        source_elim: bool,
+    ) -> Result<SampleBatch, SimFault> {
+        let n = graph.n();
+        let blocks = (device.spec().num_sms * 4).min(count.max(1));
+        device.check_kernel_fault("eim_sample")?;
+        let result = device.launch_with_scratch(
+            "eim_sample",
+            blocks,
+            || (vec![false; n], Vec::new()),
+            |ctx, (visited, queue)| {
+                let b = ctx.block_id();
+                ctx.charge_warp_sweep(n.div_ceil(32), ctx.spec().costs.global_access); // memset M
+                let local = count.saturating_sub(b).div_ceil(blocks);
+                let mut out = BlockOutput::with_capacity(local);
+                let mut j = b;
+                while j < count {
+                    let idx = start + j as u64;
+                    let source = reference_sample_one(ctx, graph, model, seed, idx, visited, queue);
+                    let set = &*queue;
+                    out.counters.sampled += 1;
+                    if set.len() == 1 {
+                        out.counters.singletons += 1;
+                    }
+                    // Copy Q into the block's flat output, applying source
+                    // elimination during the copy (§3.4): drop the source, and
+                    // discard samples that reduce to empty.
+                    let kept = if source_elim {
+                        if set.len() <= 1 {
+                            debug_assert!(set.is_empty() || set[0] == source);
+                            out.counters.discarded += 1;
+                            false
+                        } else {
+                            let before = out.data.len();
+                            for &v in set {
+                                if v != source {
+                                    out.data.push(v);
+                                }
+                            }
+                            debug_assert_eq!(
+                                out.data.len() - before,
+                                set.len() - 1,
+                                "source must appear exactly once"
+                            );
+                            true
+                        }
+                    } else {
+                        out.data.extend_from_slice(set);
+                        true
+                    };
+                    if kept {
+                        let len = out.data.len() - out.offsets.last().copied().unwrap_or(0);
+                        // The unfused kernel re-walks Q to write R.
+                        ctx.charge_warp_sweep(len, ctx.spec().costs.global_access);
+                        charge_publish(ctx, len);
+                    }
+                    out.offsets.push(out.data.len());
+                    out.kept.push(kept);
+                    j += blocks;
+                }
+                out
+            },
+        );
+        Ok(merge_blocks(result, blocks, count, n, source_elim))
+    }
+
+    /// Traverses one RRR set into `queue` via the unfused per-edge float path,
+    /// leaving it sorted ascending, and returns the sample's source vertex.
+    /// `visited` must be all-false on entry and is restored before returning.
+    fn reference_sample_one<G: DeviceGraph>(
+        ctx: &mut eim_gpusim::BlockCtx,
+        graph: &G,
+        model: DiffusionModel,
+        seed: u64,
+        idx: u64,
+        visited: &mut [bool],
+        queue: &mut Vec<VertexId>,
+    ) -> VertexId {
+        let mut rng = sample_rng(seed, idx);
+        let n = graph.n();
+        let source: VertexId = rng.gen_range(0..n as VertexId);
+        // Thread 0 seeds the queue (Algorithm 2 lines 5–10).
+        ctx.charge(Op::Rng, 1);
+        ctx.charge(Op::GlobalAccess, 1);
+        queue.clear();
+        queue.push(source);
+        visited[source as usize] = true;
+        match model {
+            DiffusionModel::IndependentCascade => ic_traverse(ctx, graph, &mut rng, visited, queue),
+            DiffusionModel::LinearThreshold => lt_traverse(ctx, graph, &mut rng, visited, queue),
+        }
+        let q = queue.len();
+        if q > 1 {
+            charge_sort(ctx, q);
+            queue.sort_unstable();
+        }
+        // Reset M for the vertices we touched (Algorithm 2 line 27).
+        for &v in queue.iter() {
+            visited[v as usize] = false;
+        }
+        ctx.charge(Op::GlobalAccess, q as u64);
+        source
+    }
+
+    /// Warp-wide probabilistic BFS (IC), unfused reference: every dequeued
+    /// vertex's in-neighbor list is swept 32 lanes at a time; each lane draws a
+    /// uniform and activates its neighbor with probability `p_vu` (Algorithm 2
+    /// lines 11–20).
+    fn ic_traverse<G: DeviceGraph>(
+        ctx: &mut eim_gpusim::BlockCtx,
+        graph: &G,
+        rng: &mut impl Rng,
+        visited: &mut [bool],
+        queue: &mut Vec<VertexId>,
+    ) {
+        let costs = *ctx.spec();
+        let wave_cost = costs.costs.global_access + costs.costs.rng + costs.costs.alu;
+        let mut head = 0usize;
+        while head < queue.len() {
+            let u = queue[head];
+            head += 1;
+            ctx.charge(Op::GlobalAccess, 1); // Q.front() + head bump
+            let d = graph.in_degree(u);
+            ctx.charge_warp_sweep(d, wave_cost);
+            for i in 0..d {
+                let v = graph.in_neighbor(u, i);
+                let p = graph.in_weight(u, i);
+                let r: f32 = rng.gen();
+                if r <= p && !visited[v as usize] {
+                    // Mark in M, then atomically enqueue (order matters; §3.2).
+                    visited[v as usize] = true;
+                    queue.push(v);
+                    ctx.charge(Op::AtomicGlobal, 2); // enqueue slot + tail bump
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::sample_batch_reference;
     use super::*;
-    use crate::device_graph::PlainDeviceGraph;
+    use crate::device_graph::{hub_graph, PackedDeviceGraph, PlainDeviceGraph};
     use eim_bitpack::PackedCsc;
     use eim_gpusim::DeviceSpec;
     use eim_graph::{generators, Graph, WeightModel};
@@ -1026,6 +1019,7 @@ mod tests {
             ),
             ("path", generators::path(40, WeightModel::WeightedCascade)),
             ("cycle", generators::cycle(12, WeightModel::WeightedCascade)),
+            ("hubs", hub_graph()),
             (
                 "trivalency",
                 generators::rmat(
@@ -1067,51 +1061,56 @@ mod tests {
 
     #[test]
     fn fused_matches_reference_on_packed_graph() {
-        let g = generators::rmat(
+        // Plain, packed and packed derived-weight views of the same graph
+        // must sample identically and charge identical cycles: the packed
+        // views decode only accepted neighbors, but the simulated warp
+        // still loads every one. The hub graph's long rows cross keystream
+        // refills mid-row and its ids straddle packed words.
+        let rmat = generators::rmat(
             400,
             2_400,
             generators::RmatParams::GRAPH500,
             WeightModel::WeightedCascade,
             31,
         );
-        let packed = PackedCsc::from_graph(&g);
         let d = device();
-        for elim in [false, true] {
-            let fused = sample_batch(
-                &d,
-                &packed,
+        for (name, g) in [("rmat", rmat), ("hubs", hub_graph())] {
+            let plain = PlainDeviceGraph::new(&g);
+            let packed = PackedDeviceGraph::new(PackedCsc::from_graph(&g));
+            let derived = PackedDeviceGraph::new(PackedCsc::from_graph_derived(&g));
+            for model in [
                 DiffusionModel::IndependentCascade,
-                13,
-                0,
-                150,
-                elim,
-            )
-            .unwrap();
-            let reference = sample_batch_reference(
-                &d,
-                &packed,
-                DiffusionModel::IndependentCascade,
-                13,
-                0,
-                150,
-                elim,
-            )
-            .unwrap();
-            assert_batches_identical(&fused, &reference, &format!("packed/elim={elim}"));
-            // And the packed view agrees with the plain view on content.
-            let dg = PlainDeviceGraph::new(&g);
-            let plain = sample_batch(
-                &d,
-                &dg,
-                DiffusionModel::IndependentCascade,
-                13,
-                0,
-                150,
-                elim,
-            )
-            .unwrap();
-            assert_eq!(fused.sets, plain.sets, "packed vs plain content");
+                DiffusionModel::LinearThreshold,
+            ] {
+                for elim in [false, true] {
+                    let views = [
+                        ("plain", fused_and_reference(&d, &plain, model, elim)),
+                        ("packed", fused_and_reference(&d, &packed, model, elim)),
+                        ("derived", fused_and_reference(&d, &derived, model, elim)),
+                    ];
+                    let (plain_fused, plain_ref) = &views[0].1;
+                    for (view, (fused, reference)) in &views {
+                        let what = format!("{name}/{view}/{model:?}/elim={elim}");
+                        assert_batches_identical(fused, reference, &what);
+                        assert_batches_identical(fused, plain_fused, &what);
+                        assert_eq!(fused.stats, plain_fused.stats, "{what}: fused cycles");
+                        assert_eq!(reference.stats, plain_ref.stats, "{what}: reference cycles");
+                    }
+                }
+            }
         }
+    }
+
+    fn fused_and_reference<G: DeviceGraph>(
+        d: &Device,
+        g: &G,
+        model: DiffusionModel,
+        elim: bool,
+    ) -> (SampleBatch, SampleBatch) {
+        (
+            sample_batch(d, g, model, 13, 0, 150, elim).unwrap(),
+            sample_batch_reference(d, g, model, 13, 0, 150, elim).unwrap(),
+        )
     }
 
     #[test]
