@@ -21,8 +21,7 @@ use eim_gpusim::{
 };
 use eim_graph::{Graph, VertexId};
 use eim_imm::{
-    degree_remap, AnyRrrStore, EngineError, ImmConfig, ImmEngine, RrrSets, RrrStoreBuilder,
-    Selection,
+    EngineError, ImmConfig, ImmEngine, PlainRrrStore, RrrSets, RrrStoreBuilder, Selection,
 };
 use rayon::prelude::*;
 
@@ -79,8 +78,8 @@ pub struct CuRipplesEngine<'g> {
     /// `O(m)`; rebuilding it per sampling round would waste it).
     device_graph: PlainDeviceGraph<'g>,
     config: ImmConfig,
-    /// Host-resident store (plain: cuRipples does not compress).
-    store: AnyRrrStore,
+    /// Host-resident store (plain: cuRipples does not log-encode).
+    store: PlainRrrStore,
     next_index: u64,
     transfer_bytes_total: usize,
 }
@@ -114,11 +113,7 @@ impl<'g> CuRipplesEngine<'g> {
             host,
             graph,
             device_graph: PlainDeviceGraph::new(graph),
-            store: if config.compressed {
-                AnyRrrStore::compressed(n, degree_remap(graph))
-            } else {
-                AnyRrrStore::new(n, false)
-            },
+            store: PlainRrrStore::new(n),
             config,
             next_index: 0,
             transfer_bytes_total: graph.csc_bytes(),

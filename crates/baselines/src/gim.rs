@@ -19,12 +19,11 @@ use eim_diffusion::{sample_rng, DiffusionModel};
 use eim_gpusim::{CopyEvent, CopyStream, Device, Op, TransferDirection, WARP_SIZE};
 use eim_graph::{Graph, VertexId};
 use eim_imm::{
-    degree_remap, AnyRrrStore, EngineError, ImmConfig, ImmEngine, RrrSets, RrrStoreBuilder,
-    Selection,
+    EngineError, ImmConfig, ImmEngine, PlainRrrStore, RrrSets, RrrStoreBuilder, Selection,
 };
 use rand::Rng;
 
-use eim_core::select::{select_on_any_store, ScanStrategy};
+use eim_core::select::{select_on_device, ScanStrategy};
 use eim_core::{DeviceGraph, PlainDeviceGraph};
 
 /// Fraction of each dynamic spill chunk lost to allocator fragmentation and
@@ -47,7 +46,7 @@ pub struct GimEngine<'g> {
     upload: Option<CopyEvent>,
     graph: &'g Graph,
     config: ImmConfig,
-    store: AnyRrrStore,
+    store: PlainRrrStore,
     next_index: u64,
     store_alloc_bytes: usize,
     leaked_bytes: usize,
@@ -77,13 +76,8 @@ impl<'g> GimEngine<'g> {
             stream,
             upload,
             graph,
-            // gIM stores plain (never packed, never eliminates sources)
-            // unless the run opted into the compressed-residency store.
-            store: if config.compressed {
-                AnyRrrStore::compressed(n, degree_remap(graph))
-            } else {
-                AnyRrrStore::new(n, false)
-            },
+            // gIM stores plain (never packed, never eliminates sources).
+            store: PlainRrrStore::new(n),
             config,
             next_index: 0,
             store_alloc_bytes: 0,
@@ -335,7 +329,7 @@ impl ImmEngine for GimEngine<'_> {
         }
         let flag_bytes = self.store.num_sets().div_ceil(8);
         let flags_ok = self.device.memory().alloc(flag_bytes).is_ok();
-        let result = select_on_any_store(&self.device, &self.store, k, ScanStrategy::WarpPerSet);
+        let result = select_on_device(&self.device, &self.store, k, ScanStrategy::WarpPerSet);
         if flags_ok {
             self.device.memory().free(flag_bytes);
         }

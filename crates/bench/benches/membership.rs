@@ -3,7 +3,6 @@
 //! the copy to R (§3.2), on both plain and packed stores.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use eim_bitpack::DeltaRun;
 use eim_imm::{PackedRrrStore, PlainRrrStore, RrrSets, RrrStoreBuilder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -79,45 +78,9 @@ fn bench_membership(c: &mut Criterion) {
     group.finish();
 }
 
-/// Delta-encoded runs (the compression extension): membership must scan.
-fn bench_delta_membership(c: &mut Criterion) {
-    let mut group = c.benchmark_group("membership/delta_extension");
-    for set_len in [64usize, 256] {
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let runs: Vec<DeltaRun> = (0..SETS)
-            .map(|_| {
-                let mut set: Vec<u64> = (0..set_len).map(|_| rng.gen_range(0..N as u64)).collect();
-                set.sort_unstable();
-                set.dedup();
-                DeltaRun::encode_checked(&set)
-            })
-            .collect();
-        let probes: Vec<u64> = {
-            let mut rng = ChaCha8Rng::seed_from_u64(9);
-            (0..SETS).map(|_| rng.gen_range(0..N as u64)).collect()
-        };
-        group.bench_with_input(
-            BenchmarkId::new("linear/delta", set_len),
-            &runs,
-            |b, runs| {
-                b.iter(|| {
-                    let mut hits = 0;
-                    for (run, &p) in runs.iter().zip(&probes) {
-                        if run.contains(black_box(p)) {
-                            hits += 1;
-                        }
-                    }
-                    black_box(hits)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_membership, bench_delta_membership
+    targets = bench_membership
 }
 criterion_main!(benches);

@@ -14,9 +14,8 @@
 //!
 //! `--bench-dir` switches to the self-documenting bench charts: it reads
 //! every checked-in `BENCH_*.json` (the PR 3 → 6 → 8 → 9 lineage), renders
-//! `bench_trajectory.html` — per-bench speedup curves across PRs, the
-//! compressed-store OOM-onset bars, and the streaming patch-vs-recompute
-//! panel — and prints the same trajectories as terminal sparklines. With
+//! `bench_trajectory.html` — per-bench speedup curves across PRs and the
+//! streaming patch-vs-recompute panel — and prints the same trajectories as terminal sparklines. With
 //! `--snapshot <run.jsonl>` (a `--snapshot-stream` capture) it adds a
 //! per-kernel occupancy heatmap over the run's snapshot intervals.
 
@@ -686,73 +685,6 @@ fn speedup_curves_svg(perf: &[(String, &Value)], sparks: &mut String) -> String 
     svg
 }
 
-/// OOM-onset bars: how many RRR sets fit a fixed device budget, plain vs
-/// delta-compressed, for every lineage file that ran `rrr_capacity`.
-fn oom_onset_svg(lineage: &[(String, Value)], sparks: &mut String) -> String {
-    let mut rows: Vec<(String, f64, f64, f64, f64)> = Vec::new();
-    for (label, v) in lineage {
-        let Some(cap) = v.get("benches").and_then(|b| b.get("rrr_capacity")) else {
-            continue;
-        };
-        let (Some(plain), Some(comp)) = (
-            cap.get("plain_sets").and_then(Value::as_f64),
-            cap.get("compressed_sets").and_then(Value::as_f64),
-        ) else {
-            continue;
-        };
-        rows.push((
-            label.clone(),
-            plain,
-            comp,
-            cap.get("onset_ratio")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0),
-            cap.get("compression_ratio")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0),
-        ));
-    }
-    if rows.is_empty() {
-        return String::from("<p class=\"sub\">(no rrr_capacity lineage found)</p>");
-    }
-    let max = rows.iter().map(|r| r.2.max(r.1)).fold(1.0f64, f64::max);
-    let row_h = 56.0;
-    let h = MT + MB + row_h * rows.len() as f64;
-    let bw = |v: f64| v / max * (W - ML - MR - 40.0);
-    let mut svg = format!(
-        "<svg viewBox=\"0 0 {W} {h}\" role=\"img\" aria-label=\"OOM onset, plain vs compressed\">"
-    );
-    for (i, (label, plain, comp, onset, ratio)) in rows.iter().enumerate() {
-        let y = MT + row_h * i as f64;
-        let _ = write!(
-            svg,
-            "<text class=\"label\" x=\"{:.1}\" y=\"{:.1}\" text-anchor=\"end\">{label}</text>\
-             <rect x=\"{ML}\" y=\"{:.1}\" width=\"{:.1}\" height=\"16\" fill=\"var(--series-1)\" \
-             data-tip=\"{label}: plain layout OOMs after {plain:.0} sets\"/>\
-             <rect x=\"{ML}\" y=\"{:.1}\" width=\"{:.1}\" height=\"16\" fill=\"var(--series-2)\" \
-             data-tip=\"{label}: compressed layout OOMs after {comp:.0} sets ({onset:.2}x later, \
-             ratio {ratio:.2}x)\"/>\
-             <text class=\"dlabel\" x=\"{:.1}\" y=\"{:.1}\">{onset:.2}x later</text>",
-            ML - 8.0,
-            y + 24.0,
-            y,
-            bw(*plain),
-            y + 20.0,
-            bw(*comp),
-            ML + bw(*comp) + 8.0,
-            y + 33.0
-        );
-        let _ = writeln!(
-            sparks,
-            "oom-onset {label:<18} {}  (plain {plain:.0} -> compressed {comp:.0} sets, \
-             {onset:.2}x later)",
-            spark(&[*plain, *comp])
-        );
-    }
-    svg.push_str("</svg>");
-    svg
-}
-
 /// Streaming panel: per-batch patch-vs-recompute wall times and the
 /// invalidation fraction, from the `eim-bench updates` lineage files.
 fn updates_svg(lineage: &[(String, Value)], sparks: &mut String) -> String {
@@ -944,8 +876,6 @@ fn bench_charts(bench_dir: &Path, snapshot: Option<&Path>, out: &Path) {
     let mut body = String::new();
     body.push_str("<h1>Speedup trajectory across PRs</h1>\n");
     body.push_str(&speedup_curves_svg(&perf, &mut sparks));
-    body.push_str("\n<h1>Compressed-store OOM onset</h1>\n");
-    body.push_str(&oom_onset_svg(&lineage, &mut sparks));
     body.push_str("\n<h1>Streaming updates: patch vs recompute</h1>\n");
     body.push_str(&updates_svg(&lineage, &mut sparks));
     if let Some(snap) = snapshot {
@@ -959,10 +889,7 @@ fn bench_charts(bench_dir: &Path, snapshot: Option<&Path>, out: &Path) {
             "Self-documenting charts from the checked-in BENCH_*.json lineage ({}).",
             files.join(", ")
         ),
-        &legend_html(&[
-            ("--series-1", "plain / recompute"),
-            ("--series-2", "compressed / patch"),
-        ]),
+        &legend_html(&[("--series-1", "recompute"), ("--series-2", "patch")]),
         &body,
         "",
     );

@@ -29,20 +29,16 @@
 //! ```
 
 mod atomic;
-mod bits;
 mod buf;
 mod csc;
-mod delta;
 mod mem;
 mod nbits;
 mod packed;
 mod search;
 
 pub use atomic::AtomicPackedArray;
-pub use bits::{BitReader, BitStream, BitWriter};
 pub use buf::PackedBuf;
 pub use csc::{PackedCsc, WeightStorage};
-pub use delta::DeltaRun;
 pub use mem::MemoryReport;
 pub use nbits::bits_for;
 pub use packed::PackedArray;

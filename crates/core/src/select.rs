@@ -105,7 +105,6 @@ pub fn select_on_any_store(
     match store {
         AnyRrrStore::Plain(s) => select_on_device(device, s, k, strategy),
         AnyRrrStore::Packed(s) => select_on_device(device, s, k, strategy),
-        AnyRrrStore::Compressed(s) => select_on_device(device, s, k, strategy),
     }
 }
 

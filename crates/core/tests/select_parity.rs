@@ -13,7 +13,7 @@ use eim_core::select::{
 };
 use eim_gpusim::{Device, DeviceSpec, KernelHw, GLOBAL_TRANSACTION_BYTES, WARP_SIZE};
 use eim_graph::VertexId;
-use eim_imm::{frequency_remap, AnyRrrStore, RrrSets, RrrStoreBuilder, Selection};
+use eim_imm::{AnyRrrStore, RrrSets, RrrStoreBuilder, Selection};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -295,9 +295,7 @@ fn random_sets(n: usize, sets: usize, max_len: usize, seed: u64) -> Vec<Vec<u32>
         .collect()
 }
 
-/// The same sets in the Plain, Packed and Compressed backends; the
-/// compressed store ranks vertices by occurrence, so its members come out
-/// in rank order, not id order.
+/// The same sets in the Plain and Packed backends.
 fn backends(n: usize, sets: &[Vec<u32>]) -> Vec<(&'static str, AnyRrrStore)> {
     let mut plain = AnyRrrStore::new(n, false);
     let mut packed = AnyRrrStore::new(n, true);
@@ -305,15 +303,7 @@ fn backends(n: usize, sets: &[Vec<u32>]) -> Vec<(&'static str, AnyRrrStore)> {
         plain.append_set(set);
         packed.append_set(set);
     }
-    let mut compressed = AnyRrrStore::compressed(n, frequency_remap(plain.counts()));
-    for set in sets {
-        compressed.append_set(set);
-    }
-    vec![
-        ("plain", plain),
-        ("packed", packed),
-        ("compressed", compressed),
-    ]
+    vec![("plain", plain), ("packed", packed)]
 }
 
 /// Checks both entry points of the fused selection against the oracle on

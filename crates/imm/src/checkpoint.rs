@@ -106,7 +106,6 @@ pub fn run_fingerprint(config: &ImmConfig, n: usize, engine: &str, devices: usiz
     h.mix(config.seed);
     h.mix(config.source_elimination as u64);
     h.mix(config.packed as u64);
-    h.mix(config.compressed as u64);
     for b in format!("{:?}", config.model).bytes() {
         h.mix(b as u64);
     }
@@ -125,9 +124,6 @@ pub fn run_fingerprint(config: &ImmConfig, n: usize, engine: &str, devices: usiz
 pub fn store_digest(store: &dyn RrrSets) -> u64 {
     let mut h = Fnv::new();
     h.mix(store.num_sets() as u64);
-    // Streamed decode: element order within a set is backend-defined (the
-    // compressed store yields rank order), so digests compare like-for-like
-    // store layouts only — which is all a resume ever does.
     store.for_each_set_in(0, store.num_sets(), &mut |_, members| {
         h.mix(members.len() as u64);
         for &v in members {
@@ -427,10 +423,6 @@ mod tests {
         assert_eq!(base, run_fingerprint(&c, 1000, "eim", 1));
         assert_ne!(base, run_fingerprint(&c.with_k(49), 1000, "eim", 1));
         assert_ne!(base, run_fingerprint(&c.with_seed(1), 1000, "eim", 1));
-        assert_ne!(
-            base,
-            run_fingerprint(&c.with_compressed(true), 1000, "eim", 1)
-        );
         assert_ne!(base, run_fingerprint(&c, 1001, "eim", 1));
         assert_ne!(base, run_fingerprint(&c, 1000, "multigpu", 1));
         assert_ne!(base, run_fingerprint(&c, 1000, "eim", 2));

@@ -20,10 +20,6 @@ pub struct ImmConfig {
     pub source_elimination: bool,
     /// Store RRR sets log-encoded (§3.1) instead of as plain `u32`s.
     pub packed: bool,
-    /// Store RRR sets delta-compressed under a degree-ordered vertex
-    /// remapping (block-decoded during selection). Takes precedence over
-    /// `packed` for the store layout; seed sets are unaffected.
-    pub compressed: bool,
     /// RNG seed; every sample derives a deterministic stream from it.
     pub seed: u64,
 }
@@ -39,7 +35,6 @@ impl ImmConfig {
             model: DiffusionModel::IndependentCascade,
             source_elimination: true,
             packed: true,
-            compressed: false,
             seed: 0x51ed,
         }
     }
@@ -89,12 +84,6 @@ impl ImmConfig {
         self
     }
 
-    /// Enables/disables the delta-compressed, degree-remapped store.
-    pub fn with_compressed(mut self, on: bool) -> Self {
-        self.compressed = on;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -114,7 +103,6 @@ mod tests {
         assert_eq!(c.model, DiffusionModel::IndependentCascade);
         assert!(c.source_elimination);
         assert!(c.packed);
-        assert!(!c.compressed);
         c.validate(100);
     }
 
@@ -126,10 +114,8 @@ mod tests {
             .with_model(DiffusionModel::LinearThreshold)
             .with_source_elimination(false)
             .with_packed(false)
-            .with_compressed(true)
             .with_seed(9);
         assert_eq!(c.k, 10);
-        assert!(c.compressed);
         assert_eq!(c.model, DiffusionModel::LinearThreshold);
         assert!(!c.source_elimination);
         assert!(!c.packed);

@@ -6,14 +6,12 @@
 //! membership tests binary-search (§3.2: "this ordering enables us to use a
 //! binary search operation during the seed selection phase").
 //!
-//! Three backends share the [`RrrSets`] interface:
+//! Two backends share the [`RrrSets`] interface:
 //! * [`PlainRrrStore`] — `u32` elements, `u64` offsets (what gIM keeps);
-//! * [`PackedRrrStore`] — log-encoded elements at `ceil(log2 n)` bits (eIM);
-//! * [`CompressedRrrStore`] — degree-ordered remapping + per-set delta
-//!   frames, block-decoded during selection.
+//! * [`PackedRrrStore`] — log-encoded elements at `ceil(log2 n)` bits (eIM).
 
-use eim_bitpack::{bits_for, BitWriter, PackedBuf};
-use eim_graph::{Graph, VertexId};
+use eim_bitpack::{bits_for, PackedBuf};
+use eim_graph::VertexId;
 
 /// Read interface over a collection of sorted RRR sets.
 pub trait RrrSets: Sync {
@@ -70,8 +68,7 @@ pub trait RrrSets: Sync {
     /// Streams sets `[from, to)` in order through `f`, which receives each
     /// set's id and members. The member slice is only valid for the duration
     /// of that call — implementations reuse one decode scratch buffer across
-    /// sets. Block-structured backends override this to decode a whole block
-    /// at a time instead of paying a random access per element.
+    /// sets. Contiguous backends override this to hand out subslices.
     fn for_each_set_in(&self, from: usize, to: usize, f: &mut dyn FnMut(usize, &[VertexId])) {
         let mut scratch: Vec<VertexId> = Vec::new();
         for i in from..to {
@@ -80,13 +77,6 @@ pub trait RrrSets: Sync {
             scratch.extend((s..e).map(|idx| self.element(idx)));
             f(i, &scratch);
         }
-    }
-
-    /// Preferred number of sets per chunk when [`RrrSets::for_each_set_in`]
-    /// is driven from a parallel loop — block-structured backends return
-    /// their block size so chunks never split a decode unit.
-    fn decode_chunk_hint(&self) -> usize {
-        4096
     }
 }
 
@@ -157,7 +147,7 @@ fn validate_batch(elements: &[VertexId], lens: &[usize], coverage: &[u32], n: us
     }
 }
 
-/// Uncompressed store: `u32` elements, `u64` offsets.
+/// Plain store: `u32` elements, `u64` offsets.
 #[derive(Clone, Debug)]
 pub struct PlainRrrStore {
     n: usize,
@@ -416,405 +406,14 @@ impl RrrStoreBuilder for PackedRrrStore {
     }
 }
 
-/// Sets per compressed block — the decode unit streamed through one scratch
-/// buffer during selection, and the chunk granularity handed to parallel
-/// consumers via [`RrrSets::decode_chunk_hint`].
-pub const COMPRESSED_BLOCK_SETS: usize = 512;
-
-/// Hub-first vertex permutation from in-degree: `remap[v]` is the rank of
-/// `v` when vertices are sorted by descending in-degree (ties break toward
-/// the smaller id). RRR sets under the IC/LT cascade models are dominated by
-/// high in-degree vertices, so ranking hubs first concentrates set members
-/// near zero and shrinks the delta gaps the compressed store encodes.
-pub fn degree_remap(graph: &Graph) -> Vec<u32> {
-    let n = graph.num_vertices();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by_key(|&v| (std::cmp::Reverse(graph.in_degree(v)), v));
-    invert_order(&order)
-}
-
-/// Frequency-first permutation for stores built without a graph at hand:
-/// ranks vertices by descending occurrence count (ties toward the smaller
-/// id). Useful when an occurrence histogram is known ahead of ingest, e.g.
-/// from a pilot sample.
-pub fn frequency_remap(freq: &[u32]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..freq.len() as u32).collect();
-    order.sort_unstable_by_key(|&v| (std::cmp::Reverse(freq[v as usize]), v));
-    invert_order(&order)
-}
-
-fn invert_order(order: &[u32]) -> Vec<u32> {
-    let mut remap = vec![0u32; order.len()];
-    for (rank, &v) in order.iter().enumerate() {
-        remap[v as usize] = rank as u32;
-    }
-    remap
-}
-
-/// One decode unit of the compressed store: up to
-/// [`COMPRESSED_BLOCK_SETS`] per-set delta frames in a shared bit stream.
-///
-/// Each frame holds the set's members in *remapped* rank order: a first
-/// rank at `ceil(log2 n)` bits followed by strictly positive gaps at that
-/// set's own width (the 6-bit header in `gap_bits`). Frame start offsets
-/// live in `set_bits`.
-#[derive(Clone, Debug, Default)]
-struct CompressedBlock {
-    set_bits: Vec<u64>,
-    gap_bits: Vec<u8>,
-    payload: BitWriter,
-}
-
-/// Appends one set's sorted ranks to `block`: frame-start offset, 6-bit gap
-/// width, then the first rank at `vbits` and the gaps at the set's width.
-/// Shared by the append path and the per-block patch rebuild so both emit
-/// the identical bit stream.
-fn encode_ranks(block: &mut CompressedBlock, ranks: &[u32], vbits: u32) {
-    block.set_bits.push(block.payload.len_bits() as u64);
-    let gb = if ranks.len() >= 2 {
-        let max_gap = ranks
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as u64)
-            .max()
-            .unwrap();
-        bits_for(max_gap)
-    } else {
-        0
-    };
-    block.gap_bits.push(gb as u8);
-    if let Some((&first, rest)) = ranks.split_first() {
-        block.payload.push(first as u64, vbits);
-        let mut prev = first;
-        for &r in rest {
-            block.payload.push((r - prev) as u64, gb);
-            prev = r;
-        }
-    }
-}
-
-/// Delta-compressed store with degree-ordered vertex remapping.
-///
-/// Members of each set are translated through a hub-first permutation
-/// ([`degree_remap`]) and stored sorted by *rank*, so consecutive gaps are
-/// small and encode in few bits. [`RrrSets::element`] translates back
-/// through the inverse permutation: elements come out in rank order, not
-/// ascending original-id order, so membership tests walk the delta stream
-/// ([`RrrSets::contains_with_probes`] is overridden — the trait's binary
-/// search assumes ascending elements). `C` stays in original id space;
-/// selection consumers that count, mark, or test membership are order
-/// independent, so seed sets match the uncompressed backends exactly.
-#[derive(Clone, Debug)]
-pub struct CompressedRrrStore {
-    n: usize,
-    vbits: u32,
-    remap: Vec<u32>,
-    inv: Vec<u32>,
-    offsets: Vec<u64>,
-    counts: Vec<u32>,
-    blocks: Vec<CompressedBlock>,
-}
-
-impl CompressedRrrStore {
-    /// An empty store with the identity remap (no reordering).
-    pub fn new(n: usize) -> Self {
-        Self::with_remap(n, (0..n as u32).collect())
-    }
-
-    /// An empty store applying `remap` at ingest time.
-    ///
-    /// # Panics
-    /// Panics if `remap` is not a permutation of `0..n`.
-    pub fn with_remap(n: usize, remap: Vec<u32>) -> Self {
-        assert_eq!(remap.len(), n, "remap must cover every vertex");
-        let mut inv = vec![u32::MAX; n];
-        for (v, &r) in remap.iter().enumerate() {
-            assert!(
-                (r as usize) < n && inv[r as usize] == u32::MAX,
-                "remap must be a permutation of 0..n"
-            );
-            inv[r as usize] = v as u32;
-        }
-        Self {
-            n,
-            vbits: bits_for(n.saturating_sub(1) as u64),
-            remap,
-            inv,
-            offsets: vec![0],
-            counts: vec![0; n],
-            blocks: vec![CompressedBlock::default()],
-        }
-    }
-
-    /// The ingest permutation (original id -> rank).
-    pub fn remap(&self) -> &[u32] {
-        &self.remap
-    }
-
-    /// The inverse permutation (rank -> original id).
-    pub fn inv(&self) -> &[u32] {
-        &self.inv
-    }
-
-    /// Bits per first-element value (`ceil(log2 n)`).
-    pub fn rank_bits(&self) -> u32 {
-        self.vbits
-    }
-
-    /// Number of sealed-or-open blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Bytes the same content occupies in the plain (`u32` + `u64`) layout —
-    /// the numerator of [`CompressedRrrStore::compression_ratio`].
-    pub fn uncompressed_bytes(&self) -> usize {
-        self.total_elements() * 4 + self.offsets.len() * 8
-    }
-
-    /// Plain-layout bytes over compressed bytes (>= 1 means the codec wins).
-    pub fn compression_ratio(&self) -> f64 {
-        let b = self.bytes();
-        if b == 0 {
-            return 1.0;
-        }
-        self.uncompressed_bytes() as f64 / b as f64
-    }
-
-    /// Every payload word across all blocks, in layout order — digestible
-    /// proof of the exact encoded bit stream.
-    pub fn payload_words(&self) -> impl Iterator<Item = u64> + '_ {
-        self.blocks
-            .iter()
-            .flat_map(|b| b.payload.words().iter().copied())
-    }
-
-    fn encode_set(&mut self, set: &[VertexId], ranks: &mut Vec<u32>) {
-        ranks.clear();
-        ranks.extend(set.iter().map(|&v| self.remap[v as usize]));
-        ranks.sort_unstable();
-        if self.blocks.last().unwrap().set_bits.len() == COMPRESSED_BLOCK_SETS {
-            self.blocks.push(CompressedBlock::default());
-        }
-        encode_ranks(self.blocks.last_mut().unwrap(), ranks, self.vbits);
-        let total = *self.offsets.last().unwrap() + set.len() as u64;
-        self.offsets.push(total);
-    }
-
-    /// Replaces the contents of the named sets (ids ascending, contents
-    /// sorted, empty allowed). Only the [`COMPRESSED_BLOCK_SETS`]-set
-    /// blocks containing a patched set are re-encoded — frame offsets are
-    /// block-relative, so untouched blocks keep their bit streams — plus an
-    /// `O(num_sets)` length-shift fixup of the global offsets from the
-    /// first patched set onward. This is the HBMax-style incremental
-    /// maintenance: an update stream that invalidates a minority of sets
-    /// touches a minority of blocks.
-    pub fn patch_sets(&mut self, patches: &[(usize, Vec<VertexId>)]) {
-        validate_patches(patches, self.num_sets(), self.n);
-        let Some(&(first, _)) = patches.first() else {
-            return;
-        };
-        // Capture old lengths (offsets are still pre-patch) and fix C.
-        let mut scratch: Vec<VertexId> = Vec::new();
-        let mut len_delta: Vec<(usize, i64)> = Vec::with_capacity(patches.len());
-        for (i, new) in patches {
-            self.decode_set_into(*i, &mut scratch);
-            for &v in &scratch {
-                self.counts[v as usize] -= 1;
-            }
-            for &v in new {
-                self.counts[v as usize] += 1;
-            }
-            len_delta.push((*i, new.len() as i64 - scratch.len() as i64));
-        }
-        // Re-encode every block that holds a patched set.
-        let num_sets = self.num_sets();
-        let mut p = 0usize;
-        while p < patches.len() {
-            let b = patches[p].0 / COMPRESSED_BLOCK_SETS;
-            let lo = b * COMPRESSED_BLOCK_SETS;
-            let hi = ((b + 1) * COMPRESSED_BLOCK_SETS).min(num_sets);
-            // Decode the whole block with patched contents spliced in.
-            let mut contents: Vec<Vec<VertexId>> = Vec::with_capacity(hi - lo);
-            for i in lo..hi {
-                if p < patches.len() && patches[p].0 == i {
-                    contents.push(patches[p].1.clone());
-                    p += 1;
-                } else {
-                    self.decode_set_into(i, &mut scratch);
-                    contents.push(scratch.clone());
-                }
-            }
-            let mut fresh = CompressedBlock::default();
-            let mut ranks: Vec<u32> = Vec::new();
-            for set in &contents {
-                ranks.clear();
-                ranks.extend(set.iter().map(|&v| self.remap[v as usize]));
-                ranks.sort_unstable();
-                encode_ranks(&mut fresh, &ranks, self.vbits);
-            }
-            self.blocks[b] = fresh;
-        }
-        // Shift the global offsets past each patched set by its length
-        // change, in one pass.
-        let mut shift: i64 = 0;
-        let mut d = 0usize;
-        for i in first..num_sets {
-            if d < len_delta.len() && len_delta[d].0 == i {
-                shift += len_delta[d].1;
-                d += 1;
-            }
-            self.offsets[i + 1] = (self.offsets[i + 1] as i64 + shift) as u64;
-        }
-    }
-
-    /// Decodes set `i`'s members (rank order, translated to original ids)
-    /// into `out` after clearing it.
-    fn decode_set_into(&self, i: usize, out: &mut Vec<VertexId>) {
-        out.clear();
-        let len = self.set_len(i);
-        if len == 0 {
-            return;
-        }
-        let block = &self.blocks[i / COMPRESSED_BLOCK_SETS];
-        let w = i % COMPRESSED_BLOCK_SETS;
-        let gb = block.gap_bits[w] as u32;
-        let mut bit = block.set_bits[w] as usize;
-        let mut cur = block.payload.read(bit, self.vbits);
-        bit += self.vbits as usize;
-        out.push(self.inv[cur as usize]);
-        for _ in 1..len {
-            cur += block.payload.read(bit, gb);
-            bit += gb as usize;
-            out.push(self.inv[cur as usize]);
-        }
-    }
-}
-
-impl RrrSets for CompressedRrrStore {
-    fn num_vertices(&self) -> usize {
-        self.n
-    }
-    fn num_sets(&self) -> usize {
-        self.offsets.len() - 1
-    }
-    fn total_elements(&self) -> usize {
-        *self.offsets.last().unwrap() as usize
-    }
-    fn set_bounds(&self, i: usize) -> (usize, usize) {
-        (self.offsets[i] as usize, self.offsets[i + 1] as usize)
-    }
-
-    /// The `pos`-th member of its set in *rank* order — a sequential delta
-    /// walk from the frame start, so random access is `O(pos)`. Bulk readers
-    /// go through [`RrrSets::for_each_set_in`] instead.
-    fn element(&self, idx: usize) -> VertexId {
-        let i = self.offsets.partition_point(|&o| o <= idx as u64) - 1;
-        let (s, _) = self.set_bounds(i);
-        let pos = idx - s;
-        let block = &self.blocks[i / COMPRESSED_BLOCK_SETS];
-        let w = i % COMPRESSED_BLOCK_SETS;
-        let gb = block.gap_bits[w] as u32;
-        let mut bit = block.set_bits[w] as usize;
-        let mut cur = block.payload.read(bit, self.vbits);
-        bit += self.vbits as usize;
-        for _ in 0..pos {
-            cur += block.payload.read(bit, gb);
-            bit += gb as usize;
-        }
-        self.inv[cur as usize]
-    }
-
-    fn counts(&self) -> &[u32] {
-        &self.counts
-    }
-
-    fn bytes(&self) -> usize {
-        // Per block: the delta payload, 6-bit gap-width headers, and frame
-        // start offsets packed at the width of the block's bit length. On
-        // top: global set offsets packed like the other stores', and the two
-        // id translation tables at rank width.
-        let mut total = 0usize;
-        for b in &self.blocks {
-            let start_bits = bits_for(b.payload.len_bits() as u64) as usize;
-            total += b.payload.bytes();
-            total += (b.set_bits.len() * (6 + start_bits)).div_ceil(64) * 8;
-        }
-        let off_bits = bits_for(self.total_elements() as u64) as usize;
-        total += (self.offsets.len() * off_bits).div_ceil(64) * 8;
-        total + (2 * self.n * self.vbits as usize).div_ceil(64) * 8
-    }
-
-    /// Sequential scan of the delta stream in remapped space with early
-    /// exit; probes = elements examined. The trait's binary search would be
-    /// wrong here — elements are rank-ordered, not ascending original ids.
-    fn contains_with_probes(&self, i: usize, v: VertexId) -> (bool, u32) {
-        let len = self.set_len(i);
-        if len == 0 {
-            return (false, 0);
-        }
-        let rank = self.remap[v as usize] as u64;
-        let block = &self.blocks[i / COMPRESSED_BLOCK_SETS];
-        let w = i % COMPRESSED_BLOCK_SETS;
-        let gb = block.gap_bits[w] as u32;
-        let mut bit = block.set_bits[w] as usize;
-        let mut cur = block.payload.read(bit, self.vbits);
-        bit += self.vbits as usize;
-        let mut probes = 1u32;
-        while cur < rank && (probes as usize) < len {
-            cur += block.payload.read(bit, gb);
-            bit += gb as usize;
-            probes += 1;
-        }
-        (cur == rank, probes)
-    }
-
-    fn for_each_set_in(&self, from: usize, to: usize, f: &mut dyn FnMut(usize, &[VertexId])) {
-        let mut scratch: Vec<VertexId> = Vec::new();
-        for i in from..to {
-            self.decode_set_into(i, &mut scratch);
-            f(i, &scratch);
-        }
-    }
-
-    fn decode_chunk_hint(&self) -> usize {
-        COMPRESSED_BLOCK_SETS
-    }
-}
-
-impl RrrStoreBuilder for CompressedRrrStore {
-    fn append_set(&mut self, set: &[VertexId]) {
-        validate_set(set, self.n);
-        let mut ranks = Vec::with_capacity(set.len());
-        for &v in set {
-            self.counts[v as usize] += 1;
-        }
-        self.encode_set(set, &mut ranks);
-    }
-
-    fn append_batch(&mut self, elements: &[VertexId], lens: &[usize], coverage: &[u32]) {
-        validate_batch(elements, lens, coverage, self.n);
-        let mut ranks: Vec<u32> = Vec::new();
-        let mut cursor = 0usize;
-        for &len in lens {
-            self.encode_set(&elements[cursor..cursor + len], &mut ranks);
-            cursor += len;
-        }
-        for (c, &h) in self.counts.iter_mut().zip(coverage) {
-            *c += h;
-        }
-    }
-}
-
 /// Runtime-selected store backend, so engines can switch between plain and
 /// log-encoded layouts from one `packed` flag.
 #[derive(Clone, Debug)]
 pub enum AnyRrrStore {
-    /// Uncompressed backend.
+    /// Plain backend.
     Plain(PlainRrrStore),
     /// Log-encoded backend.
     Packed(PackedRrrStore),
-    /// Delta-compressed backend with degree-ordered remapping.
-    Compressed(CompressedRrrStore),
 }
 
 impl AnyRrrStore {
@@ -827,25 +426,10 @@ impl AnyRrrStore {
         }
     }
 
-    /// An empty delta-compressed store ingesting through `remap`
-    /// (typically [`degree_remap`] of the run's graph).
-    pub fn compressed(n: usize, remap: Vec<u32>) -> Self {
-        AnyRrrStore::Compressed(CompressedRrrStore::with_remap(n, remap))
-    }
-
-    /// The compressed backend, when that is what this store is.
-    pub fn as_compressed(&self) -> Option<&CompressedRrrStore> {
-        match self {
-            AnyRrrStore::Compressed(s) => Some(s),
-            _ => None,
-        }
-    }
-
     fn inner(&self) -> &dyn RrrSets {
         match self {
             AnyRrrStore::Plain(s) => s,
             AnyRrrStore::Packed(s) => s,
-            AnyRrrStore::Compressed(s) => s,
         }
     }
 
@@ -856,7 +440,6 @@ impl AnyRrrStore {
         match self {
             AnyRrrStore::Plain(s) => s.patch_sets(patches),
             AnyRrrStore::Packed(s) => s.patch_sets(patches),
-            AnyRrrStore::Compressed(s) => s.patch_sets(patches),
         }
     }
 }
@@ -889,9 +472,6 @@ impl RrrSets for AnyRrrStore {
     fn for_each_set_in(&self, from: usize, to: usize, f: &mut dyn FnMut(usize, &[VertexId])) {
         self.inner().for_each_set_in(from, to, f)
     }
-    fn decode_chunk_hint(&self) -> usize {
-        self.inner().decode_chunk_hint()
-    }
 }
 
 impl RrrStoreBuilder for AnyRrrStore {
@@ -899,7 +479,6 @@ impl RrrStoreBuilder for AnyRrrStore {
         match self {
             AnyRrrStore::Plain(s) => s.append_set(set),
             AnyRrrStore::Packed(s) => s.append_set(set),
-            AnyRrrStore::Compressed(s) => s.append_set(set),
         }
     }
 
@@ -907,7 +486,6 @@ impl RrrStoreBuilder for AnyRrrStore {
         match self {
             AnyRrrStore::Plain(s) => s.append_batch(elements, lens, coverage),
             AnyRrrStore::Packed(s) => s.append_batch(elements, lens, coverage),
-            AnyRrrStore::Compressed(s) => s.append_batch(elements, lens, coverage),
         }
     }
 }
@@ -1140,179 +718,11 @@ mod tests {
         let (found, probes) = s.contains_with_probes(0, 2);
         assert!(!found);
         assert_eq!(probes, 0);
-        let mut c = CompressedRrrStore::new(4);
-        c.append_set(&[]);
-        assert_eq!(c.contains_with_probes(0, 2), (false, 0));
-    }
-
-    #[test]
-    fn compressed_store_identity_remap_basics() {
-        // Under the identity remap, rank order == ascending id order, so the
-        // shared fixture checks apply verbatim.
-        let mut s = CompressedRrrStore::new(6);
-        fill(&mut s);
-        check_common(&s);
-        assert_eq!(s.rank_bits(), 3);
-        assert_eq!(s.num_blocks(), 1);
-    }
-
-    #[test]
-    fn compressed_store_agrees_with_plain_under_remap() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(11);
-        let n = 800;
-        // A deliberately scrambled permutation.
-        let mut remap: Vec<u32> = (0..n as u32).rev().collect();
-        for i in (1..n).rev() {
-            remap.swap(i, rng.gen_range(0..i + 1));
-        }
-        let mut plain = PlainRrrStore::new(n);
-        let mut comp = CompressedRrrStore::with_remap(n, remap);
-        // Enough sets to seal multiple blocks.
-        for _ in 0..(3 * COMPRESSED_BLOCK_SETS + 37) {
-            let len = rng.gen_range(0..14);
-            let mut set: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
-            set.sort_unstable();
-            set.dedup();
-            plain.append_set(&set);
-            comp.append_set(&set);
-        }
-        assert_eq!(comp.num_blocks(), 4);
-        assert_eq!(plain.num_sets(), comp.num_sets());
-        assert_eq!(plain.total_elements(), comp.total_elements());
-        assert_eq!(plain.counts(), comp.counts());
-        for i in 0..plain.num_sets() {
-            assert_eq!(plain.set_bounds(i), comp.set_bounds(i));
-            // Members come out rank-ordered: compare as sets.
-            let mut got = comp.set_members(i);
-            got.sort_unstable();
-            assert_eq!(got, plain.set_members(i), "set {i}");
-            for probe in [0u32, 1, 399, 400, 799] {
-                assert_eq!(plain.contains(i, probe), comp.contains(i, probe));
-            }
-        }
-        // Streaming decode agrees with random access.
-        let mut streamed: Vec<Vec<u32>> = Vec::new();
-        comp.for_each_set_in(0, comp.num_sets(), &mut |_, m| streamed.push(m.to_vec()));
-        for (i, m) in streamed.iter().enumerate() {
-            assert_eq!(*m, comp.set_members(i));
-        }
-    }
-
-    #[test]
-    fn compressed_append_batch_matches_per_set() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
-        let n = 300;
-        let mut elements: Vec<u32> = Vec::new();
-        let mut lens: Vec<usize> = Vec::new();
-        let mut coverage = vec![0u32; n];
-        let mut sets: Vec<Vec<u32>> = Vec::new();
-        for _ in 0..60 {
-            let len = rng.gen_range(0..10);
-            let mut set: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
-            set.sort_unstable();
-            set.dedup();
-            elements.extend_from_slice(&set);
-            lens.push(set.len());
-            for &v in &set {
-                coverage[v as usize] += 1;
-            }
-            sets.push(set);
-        }
-        let remap: Vec<u32> = (0..n as u32).rev().collect();
-        let mut bulk = AnyRrrStore::compressed(n, remap.clone());
-        bulk.append_batch(&elements, &lens, &coverage);
-        let mut incremental = CompressedRrrStore::with_remap(n, remap);
-        for set in &sets {
-            incremental.append_set(set);
-        }
-        assert_eq!(bulk.num_sets(), incremental.num_sets());
-        assert_eq!(bulk.counts(), incremental.counts());
-        assert!(bulk.as_compressed().is_some());
-        for i in 0..bulk.num_sets() {
-            assert_eq!(bulk.set_members(i), incremental.set_members(i));
-        }
-        assert!(bulk
-            .as_compressed()
-            .unwrap()
-            .payload_words()
-            .eq(incremental.payload_words()));
-    }
-
-    #[test]
-    fn degree_remap_ranks_hubs_first() {
-        use eim_graph::{GraphBuilder, WeightModel};
-        // In-degrees: v0 <- {1,2,3} (3), v2 <- {0} (1), v4 <- {0,1} (2).
-        let g = GraphBuilder::new(5)
-            .edges([(1, 0), (2, 0), (3, 0), (0, 2), (0, 4), (1, 4)])
-            .build(WeightModel::WeightedCascade);
-        let remap = degree_remap(&g);
-        assert_eq!(remap[0], 0); // highest in-degree
-        assert_eq!(remap[4], 1);
-        assert_eq!(remap[2], 2);
-        // Ties (v1, v3 both in-degree 0) break toward the smaller id.
-        assert_eq!(remap[1], 3);
-        assert_eq!(remap[3], 4);
-    }
-
-    #[test]
-    fn frequency_remap_shrinks_skewed_sets() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-        let n = 30_000;
-        // Hub ids scattered across the id space: a power-law-ish draw over a
-        // small popular core whose ids are scrambled multiples.
-        let hub = |i: u64| ((i * 48271 + 13) % n as u64) as u32;
-        let mut sets: Vec<Vec<u32>> = Vec::new();
-        let mut freq = vec![0u32; n];
-        for _ in 0..6_000 {
-            let len = rng.gen_range(20..50);
-            let mut set: Vec<u32> = (0..len)
-                .map(|_| {
-                    // Zipf-ish: mostly the first few dozen hubs.
-                    let r: f64 = rng.gen();
-                    hub((64.0 * r * r * r) as u64)
-                })
-                .collect();
-            set.sort_unstable();
-            set.dedup();
-            for &v in &set {
-                freq[v as usize] += 1;
-            }
-            sets.push(set);
-        }
-        let mut comp = CompressedRrrStore::with_remap(n, frequency_remap(&freq));
-        let mut plain = PlainRrrStore::new(n);
-        for set in &sets {
-            comp.append_set(set);
-            plain.append_set(set);
-        }
-        let ratio = comp.compression_ratio();
-        assert!(
-            ratio > 2.0,
-            "expected > 2x over plain on skewed sets, got {ratio:.2} ({} vs {} bytes)",
-            comp.bytes(),
-            plain.bytes()
-        );
-        // Remapping is what buys the ratio: the same content under the
-        // identity permutation needs many more gap bits.
-        let mut ident = CompressedRrrStore::new(n);
-        for set in &sets {
-            ident.append_set(set);
-        }
-        assert!(
-            comp.bytes() < ident.bytes(),
-            "remap {} vs identity {}",
-            comp.bytes(),
-            ident.bytes()
-        );
-        assert_eq!(comp.counts(), plain.counts());
     }
 
     /// Patching a store to some content must leave it indistinguishable
-    /// from a store that appended that content directly — members, counts,
-    /// offsets, and (compressed) the encoded bit stream itself.
+    /// from a store that appended that content directly — members, counts
+    /// and offsets.
     #[test]
     fn patch_sets_matches_fresh_append_on_every_backend() {
         use rand::{Rng, SeedableRng};
@@ -1325,18 +735,10 @@ mod tests {
             s.dedup();
             s
         };
-        // Enough sets to span multiple compressed blocks.
-        let old: Vec<Vec<u32>> = (0..COMPRESSED_BLOCK_SETS * 2 + 100)
-            .map(|_| rand_set(&mut rng))
-            .collect();
-        // Patch a scatter of ids, including block 0, a block boundary,
-        // the tail (open) block, and an emptied set.
-        let mut ids = vec![
-            3,
-            COMPRESSED_BLOCK_SETS - 1,
-            COMPRESSED_BLOCK_SETS,
-            old.len() - 1,
-        ];
+        let old: Vec<Vec<u32>> = (0..1124).map(|_| rand_set(&mut rng)).collect();
+        // Patch a scatter of ids, including an adjacent pair mid-store, the
+        // last set, and an emptied set.
+        let mut ids = vec![3, 511, 512, old.len() - 1];
         for _ in 0..40 {
             ids.push(rng.gen_range(0..old.len()));
         }
@@ -1352,16 +754,9 @@ mod tests {
             target[*i] = new.clone();
         }
 
-        let make = |packed: bool, compressed: bool| -> AnyRrrStore {
-            if compressed {
-                AnyRrrStore::compressed(n, (0..n as u32).collect())
-            } else {
-                AnyRrrStore::new(n, packed)
-            }
-        };
-        for (packed, compressed) in [(false, false), (true, false), (false, true)] {
-            let mut patched = make(packed, compressed);
-            let mut fresh = make(packed, compressed);
+        for packed in [false, true] {
+            let mut patched = AnyRrrStore::new(n, packed);
+            let mut fresh = AnyRrrStore::new(n, packed);
             for set in &old {
                 patched.append_set(set);
             }
@@ -1376,17 +771,11 @@ mod tests {
                 assert_eq!(
                     patched.set_members(i),
                     fresh.set_members(i),
-                    "set {i} packed={packed} compressed={compressed}"
+                    "set {i} packed={packed}"
                 );
                 assert_eq!(patched.set_bounds(i), fresh.set_bounds(i));
             }
-            if let (Some(a), Some(b)) = (patched.as_compressed(), fresh.as_compressed()) {
-                assert!(
-                    a.payload_words().eq(b.payload_words()),
-                    "patched compressed bit stream diverged from fresh append"
-                );
-            }
-            // Appending after a patch keeps working (open tail block).
+            // Appending after a patch keeps working.
             let extra = rand_set(&mut rng);
             patched.append_set(&extra);
             fresh.append_set(&extra);

@@ -97,7 +97,7 @@ impl InvertedIndex {
             let cursors: Vec<AtomicUsize> =
                 starts[..n].iter().map(|&s| AtomicUsize::new(s)).collect();
             let postings: Vec<AtomicU32> = (0..acc).map(|_| AtomicU32::new(0)).collect();
-            let chunk = store.decode_chunk_hint().max(1);
+            let chunk = 4096; // sets per rayon task
             (0..num_sets.div_ceil(chunk)).into_par_iter().for_each(|c| {
                 let (from, to) = (c * chunk, ((c + 1) * chunk).min(num_sets));
                 store.for_each_set_in(from, to, &mut |i, members| {

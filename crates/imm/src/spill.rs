@@ -2,36 +2,14 @@
 //!
 //! Under `--recovery degrade`, the eIM engine evicts its oldest RRR batches
 //! to host memory (cuRipples-style) when the device cannot hold the growing
-//! store. A [`PackedRrrBatch`] is the spilled unit, in one of two layouts:
-//!
-//! * **Packed** — the batch's elements log-encoded at `ceil(log2 n)` bits
-//!   plus per-set lengths (what plain/packed stores ship);
-//! * **Delta** — per-set delta frames in remapped rank space, the layout
-//!   the [`CompressedRrrStore`](crate::CompressedRrrStore) already holds,
-//!   so compressed-store evictions ship compressed bytes over PCIe and the
-//!   d2h/h2d traffic shrinks with the store.
-//!
-//! Either layout reconstructs every set exactly on reload, which the
-//! round-trip tests assert.
+//! store. A [`PackedRrrBatch`] is the spilled unit: the batch's elements
+//! log-encoded at `ceil(log2 n)` bits plus per-set lengths. It reconstructs
+//! every set exactly on reload, which the round-trip tests assert.
 
-use eim_bitpack::{bits_for, BitStream, BitWriter, PackedBuf};
+use eim_bitpack::{bits_for, PackedBuf};
 use eim_graph::VertexId;
 
-use crate::rrrstore::{CompressedRrrStore, RrrSets};
-
-/// The encoded element payload of a spilled batch.
-#[derive(Debug)]
-enum SpillPayload {
-    /// Flat log-encoded ids at `ceil(log2 n)` bits each.
-    Packed(PackedBuf),
-    /// Per-set delta frames in remapped rank space: a first rank at `vbits`
-    /// bits, then gaps at that set's width from `gap_bits`.
-    Delta {
-        vbits: u32,
-        gap_bits: Vec<u8>,
-        stream: BitStream,
-    },
-}
+use crate::rrrstore::RrrSets;
 
 /// A contiguous, host-resident run of packed RRR sets `[first_set,
 /// first_set + len)` evicted from a device store.
@@ -39,7 +17,8 @@ enum SpillPayload {
 pub struct PackedRrrBatch {
     first_set: usize,
     set_lens: Vec<u32>,
-    payload: SpillPayload,
+    /// Flat log-encoded ids at `ceil(log2 n)` bits each.
+    elements: PackedBuf,
 }
 
 impl PackedRrrBatch {
@@ -61,54 +40,7 @@ impl PackedRrrBatch {
         Self {
             first_set: from,
             set_lens,
-            payload: SpillPayload::Packed(elements),
-        }
-    }
-
-    /// Packs sets `[from, to)` of a compressed store as delta frames — the
-    /// store's own rank-space encoding, so the page ships compressed bytes.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds or empty.
-    pub fn pack_range_delta(store: &CompressedRrrStore, from: usize, to: usize) -> Self {
-        assert!(from < to && to <= store.num_sets(), "bad spill range");
-        let vbits = store.rank_bits();
-        let remap = store.remap();
-        let mut set_lens = Vec::with_capacity(to - from);
-        let mut gap_bits = Vec::with_capacity(to - from);
-        let mut w = BitWriter::new();
-        // `for_each_set_in` yields members in rank order, so the remapped
-        // values are already ascending and delta-encode directly.
-        store.for_each_set_in(from, to, &mut |_, members| {
-            set_lens.push(members.len() as u32);
-            let gb = members
-                .windows(2)
-                .map(|p| {
-                    let (a, b) = (remap[p[0] as usize], remap[p[1] as usize]);
-                    debug_assert!(b > a, "rank order violated");
-                    bits_for((b - a) as u64)
-                })
-                .max()
-                .unwrap_or(0);
-            gap_bits.push(gb as u8);
-            if let Some((&first, rest)) = members.split_first() {
-                w.push(remap[first as usize] as u64, vbits);
-                let mut prev = remap[first as usize];
-                for &v in rest {
-                    let r = remap[v as usize];
-                    w.push((r - prev) as u64, gb);
-                    prev = r;
-                }
-            }
-        });
-        Self {
-            first_set: from,
-            set_lens,
-            payload: SpillPayload::Delta {
-                vbits,
-                gap_bits,
-                stream: w.finish(),
-            },
+            elements,
         }
     }
 
@@ -122,77 +54,24 @@ impl PackedRrrBatch {
         self.set_lens.len()
     }
 
-    /// Whether this batch carries delta frames (a compressed-store page).
-    pub fn is_delta(&self) -> bool {
-        matches!(self.payload, SpillPayload::Delta { .. })
-    }
-
     /// Bytes this batch occupied on the device — what one eviction moves
     /// over PCIe: the encoded elements plus one `u32` length per set (the
-    /// batch-local offset table), and for delta pages the per-set gap-width
-    /// headers.
+    /// batch-local offset table).
     pub fn device_bytes(&self) -> usize {
-        let lens = self.set_lens.len() * std::mem::size_of::<u32>();
-        match &self.payload {
-            SpillPayload::Packed(elements) => elements.bytes() + lens,
-            SpillPayload::Delta {
-                gap_bits, stream, ..
-            } => stream.bytes() + gap_bits.len() + lens,
-        }
+        self.elements.bytes() + self.set_lens.len() * std::mem::size_of::<u32>()
     }
 
     /// Decodes the batch back into per-set member lists, in set order.
-    ///
-    /// # Panics
-    /// Panics if the batch is a delta page — those need the store's inverse
-    /// permutation; use [`PackedRrrBatch::unpack_via`].
     pub fn unpack(&self) -> Vec<Vec<VertexId>> {
-        match &self.payload {
-            SpillPayload::Packed(_) => self.unpack_via(&[]),
-            SpillPayload::Delta { .. } => {
-                panic!("delta page needs the inverse permutation; use unpack_via")
-            }
-        }
-    }
-
-    /// Decodes the batch back into per-set member lists, in set order.
-    /// Delta pages translate ranks back through `inv` (the originating
-    /// store's [`CompressedRrrStore::inv`]) and yield members in rank
-    /// order — exactly what that store's own decode produces; packed pages
-    /// ignore `inv`.
-    pub fn unpack_via(&self, inv: &[u32]) -> Vec<Vec<VertexId>> {
         let mut out = Vec::with_capacity(self.set_lens.len());
-        match &self.payload {
-            SpillPayload::Packed(elements) => {
-                let mut idx = 0usize;
-                for &len in &self.set_lens {
-                    let mut set = Vec::with_capacity(len as usize);
-                    for _ in 0..len {
-                        set.push(elements.get(idx) as VertexId);
-                        idx += 1;
-                    }
-                    out.push(set);
-                }
+        let mut idx = 0usize;
+        for &len in &self.set_lens {
+            let mut set = Vec::with_capacity(len as usize);
+            for _ in 0..len {
+                set.push(self.elements.get(idx) as VertexId);
+                idx += 1;
             }
-            SpillPayload::Delta {
-                vbits,
-                gap_bits,
-                stream,
-            } => {
-                let mut r = stream.reader_at(0);
-                for (&len, &gb) in self.set_lens.iter().zip(gap_bits) {
-                    let mut set = Vec::with_capacity(len as usize);
-                    if len > 0 {
-                        let mut cur = r.read(*vbits);
-                        set.push(inv[cur as usize]);
-                        for _ in 1..len {
-                            cur += r.read(gb as u32);
-                            set.push(inv[cur as usize]);
-                        }
-                    }
-                    out.push(set);
-                }
-            }
+            out.push(set);
         }
         out
     }
@@ -201,7 +80,7 @@ impl PackedRrrBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rrrstore::{frequency_remap, PackedRrrStore, PlainRrrStore, RrrStoreBuilder};
+    use crate::rrrstore::{PackedRrrStore, PlainRrrStore, RrrStoreBuilder};
 
     fn filled(packed: bool) -> (Box<dyn RrrSets>, Vec<Vec<VertexId>>) {
         let sets: Vec<Vec<VertexId>> = (0..20)
@@ -239,7 +118,6 @@ mod tests {
             assert_eq!(batch.first_set(), 3);
             assert_eq!(batch.num_sets(), 8);
             assert!(batch.device_bytes() > 0);
-            assert!(!batch.is_delta());
             assert_eq!(batch.unpack(), sets[3..11].to_vec());
         }
     }
@@ -259,69 +137,5 @@ mod tests {
     fn out_of_bounds_range_panics() {
         let (store, _) = filled(true);
         PackedRrrBatch::pack_range(store.as_ref(), 5, 30);
-    }
-
-    fn skewed_compressed(n: usize, sets: usize) -> CompressedRrrStore {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
-        let hub = |i: u64| ((i * 48271 + 13) % n as u64) as u32;
-        let mut drawn: Vec<Vec<u32>> = Vec::new();
-        let mut freq = vec![0u32; n];
-        for i in 0..sets {
-            let len = if i % 7 == 0 { 0 } else { rng.gen_range(3..30) };
-            let mut set: Vec<u32> = (0..len)
-                .map(|_| {
-                    let r: f64 = rng.gen();
-                    hub((64.0 * r * r * r) as u64)
-                })
-                .collect();
-            set.sort_unstable();
-            set.dedup();
-            for &v in &set {
-                freq[v as usize] += 1;
-            }
-            drawn.push(set);
-        }
-        let mut st = CompressedRrrStore::with_remap(n, frequency_remap(&freq));
-        for s in &drawn {
-            st.append_set(s);
-        }
-        st
-    }
-
-    #[test]
-    fn delta_page_round_trips_through_inverse_permutation() {
-        let st = skewed_compressed(5_000, 200);
-        let batch = PackedRrrBatch::pack_range_delta(&st, 17, 161);
-        assert!(batch.is_delta());
-        assert_eq!(batch.first_set(), 17);
-        assert_eq!(batch.num_sets(), 144);
-        let expect: Vec<Vec<VertexId>> = (17..161).map(|i| st.set_members(i)).collect();
-        assert_eq!(batch.unpack_via(st.inv()), expect);
-    }
-
-    #[test]
-    fn delta_page_ships_fewer_bytes_than_packed() {
-        let st = skewed_compressed(200_000, 400);
-        let delta = PackedRrrBatch::pack_range_delta(&st, 0, 400);
-        let packed = PackedRrrBatch::pack_range(&st, 0, 400);
-        assert!(
-            delta.device_bytes() * 2 < packed.device_bytes(),
-            "delta {} vs packed {}",
-            delta.device_bytes(),
-            packed.device_bytes()
-        );
-        assert_eq!(
-            delta.unpack_via(st.inv()),
-            packed.unpack_via(&[]),
-            "both layouts decode the same sets"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "needs the inverse permutation")]
-    fn unpack_of_delta_page_panics() {
-        let st = skewed_compressed(1_000, 20);
-        PackedRrrBatch::pack_range_delta(&st, 0, 10).unpack();
     }
 }

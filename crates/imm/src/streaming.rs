@@ -15,7 +15,7 @@
 //!
 //! [`StreamingImmEngine`] maintains, across a [`GraphDelta`] stream:
 //!
-//! * the RRR store (plain, packed, or compressed) with slot = sample index,
+//! * the RRR store (plain or packed) with slot = sample index,
 //!   patched in place via the backends' `patch_sets`;
 //! * a postings *invalidation index*: for every vertex, the sorted slot ids
 //!   whose footprint contains it. A delta batch maps to the exact set of
@@ -50,7 +50,7 @@ use crate::bounds::{
 use crate::checkpoint::{run_fingerprint, store_digest};
 use crate::config::ImmConfig;
 use crate::martingale::EngineError;
-use crate::rrrstore::{degree_remap, AnyRrrStore, RrrSets, RrrStoreBuilder};
+use crate::rrrstore::{AnyRrrStore, RrrSets, RrrStoreBuilder};
 use crate::selection::Selection;
 
 /// Draws RRR samples for explicit `(seed, index)` slots against the current
@@ -245,18 +245,13 @@ impl<R: Resampler> StreamingImmEngine<R> {
     ) -> Self {
         let n = graph.num_vertices();
         config.validate(n);
-        let store = if config.compressed {
-            AnyRrrStore::compressed(n, degree_remap(&graph))
-        } else {
-            AnyRrrStore::new(n, config.packed)
-        };
         Self {
             graph,
             config,
             weight_model,
             weight_seed,
             resampler,
-            store,
+            store: AnyRrrStore::new(n, config.packed),
             sources: Vec::new(),
             discarded: Vec::new(),
             postings: vec![Vec::new(); n],

@@ -23,8 +23,6 @@
 //!   --seed <n>           RNG seed                      [7]
 //!   --device-mem-mb <f>  override device memory capacity (MB)
 //!   --no-pack            disable log encoding (eIM only)
-//!   --compressed         delta-compressed RRR store with degree-ordered
-//!                        vertex remapping (identical seed sets)
 //!   --no-elim            disable source elimination (eIM only)
 //!   --spread-sims <n>    Monte-Carlo spread evaluations [0 = skip]
 //!   --updates <spec>     streaming mode: apply a generated edge-update
@@ -96,7 +94,6 @@ struct Args {
     seed: u64,
     device_mem_mb: Option<f64>,
     pack: bool,
-    compressed: bool,
     elim: bool,
     spread_sims: usize,
     updates: Option<generators::UpdateStreamSpec>,
@@ -121,7 +118,7 @@ fn usage() -> ! {
         "usage: eim [profile] (--input <file> | --weighted <file> | --dataset <abbrev>) \
          [--k n] [--eps f] [--model ic|lt] \
          [--engine eim|gim|curipples|cpu|multigpu] [--devices n] \
-         [--scale f] [--seed n] [--device-mem-mb f] [--no-pack] [--compressed] [--no-elim] \
+         [--scale f] [--seed n] [--device-mem-mb f] [--no-pack] [--no-elim] \
          [--spread-sims n] [--updates spec] [--inject-faults spec] \
          [--recovery abort|retry|degrade] [--max-retries n] \
          [--checkpoint <dir>] [--resume] [--ckpt-kill-after n] [--no-overlap] \
@@ -146,7 +143,6 @@ fn parse_args() -> Args {
         seed: 7,
         device_mem_mb: None,
         pack: true,
-        compressed: false,
         elim: true,
         spread_sims: 0,
         updates: None,
@@ -190,7 +186,6 @@ fn parse_args() -> Args {
             "--seed" => a.seed = val().parse().unwrap_or_else(|_| usage()),
             "--device-mem-mb" => a.device_mem_mb = Some(val().parse().unwrap_or_else(|_| usage())),
             "--no-pack" => a.pack = false,
-            "--compressed" => a.compressed = true,
             "--no-elim" => a.elim = false,
             "--spread-sims" => a.spread_sims = val().parse().unwrap_or_else(|_| usage()),
             "--updates" => {
@@ -670,7 +665,6 @@ fn main() {
         .with_model(a.model)
         .with_seed(a.seed)
         .with_packed(a.pack)
-        .with_compressed(a.compressed)
         .with_source_elimination(a.elim);
     let baseline = config.with_packed(false).with_source_elimination(false);
     let spec = match a.device_mem_mb {

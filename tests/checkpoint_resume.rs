@@ -507,64 +507,3 @@ fn cli_resume_with_mismatched_config_is_rejected() {
     assert_eq!(out.status.code(), Some(1));
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-/// Compressed-residency runs honor the same checkpoint contract: a killed
-/// and resumed compressed run reproduces the clean compressed run bit for
-/// bit, and both return the same seeds as the uncompressed run.
-#[test]
-fn compressed_kill_and_resume_reproduce_the_clean_run() {
-    let g = graph();
-    let plain = {
-        let c = config(true);
-        let mut e = engine(&g, c);
-        run_imm_recovering(&mut e, &c, &RecoveryPolicy::retry(), &RunTrace::disabled())
-            .unwrap()
-            .seeds
-    };
-
-    let c = config(true).with_compressed(true);
-    let fp = run_fingerprint(&c, g.num_vertices(), "multigpu", 4);
-    let mut e = engine(&g, c);
-    let clean =
-        run_imm_recovering(&mut e, &c, &RecoveryPolicy::retry(), &RunTrace::disabled()).unwrap();
-    let clean = (clean.seeds, clean.num_sets, e.elapsed_us().to_bits());
-    assert_eq!(clean.0, plain, "compression moved the answer");
-
-    let dir = temp_dir("ckr");
-    let mut e = engine(&g, c);
-    let killed = run_imm_checkpointed(
-        &mut e,
-        &c,
-        &RecoveryPolicy::retry(),
-        &RunTrace::disabled(),
-        &Checkpointing {
-            dir: Some(dir.clone()),
-            resume: None,
-            kill_after: Some(1),
-            fingerprint: fp,
-        },
-    );
-    assert!(matches!(killed, Err(EngineError::Interrupted { .. })));
-
-    let cp = RunCheckpoint::load(&dir).unwrap();
-    let mut e = engine(&g, c);
-    let r = run_imm_checkpointed(
-        &mut e,
-        &c,
-        &RecoveryPolicy::retry(),
-        &RunTrace::disabled(),
-        &Checkpointing {
-            dir: Some(dir.clone()),
-            resume: Some(cp),
-            kill_after: None,
-            fingerprint: fp,
-        },
-    )
-    .unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(
-        (r.seeds, r.num_sets, e.elapsed_us().to_bits()),
-        clean,
-        "compressed resume diverged from the clean compressed run"
-    );
-}

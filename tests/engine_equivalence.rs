@@ -8,7 +8,7 @@ use eim::baselines::{CuRipplesEngine, GimEngine, HostSpec};
 use eim::core::{EimEngine, MultiGpuEimEngine, ScanStrategy};
 use eim::gpusim::{Device, DeviceSpec, RunTrace};
 use eim::graph::generators;
-use eim::imm::{run_imm, CpuEngine, CpuParallelism, ImmConfig, ImmEngine as _, RrrSets};
+use eim::imm::{run_imm, CpuEngine, CpuParallelism, ImmConfig, ImmEngine as _, ImmResult, RrrSets};
 use eim::prelude::*;
 
 fn test_graph(seed: u64) -> Graph {
@@ -236,68 +236,46 @@ fn overlap_on_and_off_differ_only_in_time() {
     }
 }
 
+/// Log encoding is a pure layout change. For every engine, with and
+/// without source elimination, under 1- and 4-thread rayon pools, the
+/// packed run returns the plain run's seeds and set count. eIM, multi-GPU
+/// and the CPU engine honour `packed` and must hold a smaller store; gIM
+/// and cuRipples keep a plain store either way.
 #[test]
 fn packing_never_changes_results() {
     let g = test_graph(23);
-    for elim in [false, true] {
-        let base = ImmConfig::paper_default()
-            .with_k(4)
-            .with_epsilon(0.3)
-            .with_seed(77)
-            .with_source_elimination(elim);
-        let run = |packed: bool| {
-            let c = base.with_packed(packed);
-            let mut e =
-                EimEngine::new(&g, c, Device::new(spec()), ScanStrategy::ThreadPerSet).unwrap();
-            run_imm(&mut e, &c).unwrap()
-        };
-        let plain = run(false);
-        let packed = run(true);
-        assert_eq!(plain.seeds, packed.seeds, "elim = {elim}");
-        assert_eq!(plain.num_sets, packed.num_sets);
-        assert!(packed.store_bytes < plain.store_bytes);
-    }
-}
 
-/// The compressed-residency invariant: the delta-compressed, degree-remapped
-/// RRR store is a pure layout change. For every engine, under plain or
-/// log-encoded graph/store layouts and 1- or 4-thread rayon pools, the seed
-/// set must be byte-identical to the uncompressed run's — in original id
-/// space, with the same smallest-id tie-breaks.
-#[test]
-fn compression_never_changes_results() {
-    let g = test_graph(41);
-
-    type Run<'a> = Box<dyn Fn(ImmConfig) -> (Vec<u32>, usize) + Sync + 'a>;
-    let engines: Vec<(&str, Run)> = vec![
+    type Run<'a> = Box<dyn Fn(ImmConfig) -> ImmResult + Sync + 'a>;
+    let engines: Vec<(&str, bool, Run)> = vec![
         (
             "eim",
+            true,
             Box::new(|c| {
                 let mut e =
                     EimEngine::new(&g, c, Device::new(spec()), ScanStrategy::ThreadPerSet).unwrap();
-                let r = run_imm(&mut e, &c).unwrap();
-                (r.seeds, r.num_sets)
+                run_imm(&mut e, &c).unwrap()
             }),
         ),
         (
             "gim",
+            false,
             Box::new(|c| {
                 let mut e = GimEngine::new(&g, c, Device::new(spec())).unwrap();
-                let r = run_imm(&mut e, &c).unwrap();
-                (r.seeds, r.num_sets)
+                run_imm(&mut e, &c).unwrap()
             }),
         ),
         (
             "curipples",
+            false,
             Box::new(|c| {
                 let mut e =
                     CuRipplesEngine::new(&g, c, Device::new(spec()), HostSpec::default()).unwrap();
-                let r = run_imm(&mut e, &c).unwrap();
-                (r.seeds, r.num_sets)
+                run_imm(&mut e, &c).unwrap()
             }),
         ),
         (
             "multigpu",
+            true,
             Box::new(|c| {
                 let mut e = MultiGpuEimEngine::with_telemetry(
                     &g,
@@ -308,16 +286,15 @@ fn compression_never_changes_results() {
                     true,
                 )
                 .unwrap();
-                let r = run_imm(&mut e, &c).unwrap();
-                (r.seeds, r.num_sets)
+                run_imm(&mut e, &c).unwrap()
             }),
         ),
         (
             "cpu",
+            true,
             Box::new(|c| {
                 let mut e = CpuEngine::new(&g, c, CpuParallelism::Rayon);
-                let r = run_imm(&mut e, &c).unwrap();
-                (r.seeds, r.num_sets)
+                run_imm(&mut e, &c).unwrap()
             }),
         ),
     ];
@@ -328,16 +305,23 @@ fn compression_never_changes_results() {
             .build()
             .unwrap();
         pool.install(|| {
-            for packed in [false, true] {
-                let base = plain_config(DiffusionModel::IndependentCascade).with_packed(packed);
-                for (name, run) in &engines {
-                    let uncompressed = run(base);
-                    let compressed = run(base.with_compressed(true));
-                    assert_eq!(
-                        uncompressed, compressed,
-                        "{name} (packed = {packed}, {threads} threads): \
-                         compression changed the results"
-                    );
+            for elim in [false, true] {
+                let base = ImmConfig::paper_default()
+                    .with_k(4)
+                    .with_epsilon(0.3)
+                    .with_seed(77)
+                    .with_source_elimination(elim);
+                for (name, honours_packed, run) in &engines {
+                    let ctx = format!("{name} (elim = {elim}, {threads} threads)");
+                    let plain = run(base.with_packed(false));
+                    let packed = run(base.with_packed(true));
+                    assert_eq!(plain.seeds, packed.seeds, "{ctx}");
+                    assert_eq!(plain.num_sets, packed.num_sets, "{ctx}");
+                    if *honours_packed {
+                        assert!(packed.store_bytes < plain.store_bytes, "{ctx}");
+                    } else {
+                        assert_eq!(packed.store_bytes, plain.store_bytes, "{ctx}");
+                    }
                 }
             }
         });

@@ -35,31 +35,32 @@ fn min_viable_mb(run: impl Fn(usize) -> bool) -> usize {
     257
 }
 
+/// Log encoding and source elimination each lower the OOM onset. The
+/// packed-vs-plain pair holds source elimination on, so the gap it shows is
+/// the store and graph layout alone: the residency gate on real sampler
+/// output.
 #[test]
 fn eim_defaults_survive_smaller_devices_than_stripped_eim() {
     let g = graph();
-    let full = min_viable_mb(|mem| {
-        let c = config();
-        EimEngine::new(
-            &g,
-            c,
-            Device::new(DeviceSpec::rtx_a6000_with_mem(mem)),
-            ScanStrategy::ThreadPerSet,
-        )
-        .and_then(|mut e| run_imm(&mut e, &c))
-        .is_ok()
-    });
-    let stripped = min_viable_mb(|mem| {
-        let c = config().with_packed(false).with_source_elimination(false);
-        EimEngine::new(
-            &g,
-            c,
-            Device::new(DeviceSpec::rtx_a6000_with_mem(mem)),
-            ScanStrategy::ThreadPerSet,
-        )
-        .and_then(|mut e| run_imm(&mut e, &c))
-        .is_ok()
-    });
+    let onset = |c: ImmConfig| {
+        min_viable_mb(|mem| {
+            EimEngine::new(
+                &g,
+                c,
+                Device::new(DeviceSpec::rtx_a6000_with_mem(mem)),
+                ScanStrategy::ThreadPerSet,
+            )
+            .and_then(|mut e| run_imm(&mut e, &c))
+            .is_ok()
+        })
+    };
+    let full = onset(config());
+    let plain = onset(config().with_packed(false));
+    let stripped = onset(config().with_packed(false).with_source_elimination(false));
+    assert!(
+        full < plain,
+        "packed eIM needs {full} MB, plain eIM needs {plain} MB"
+    );
     assert!(
         full < stripped,
         "eIM defaults need {full} MB, stripped needs {stripped} MB"

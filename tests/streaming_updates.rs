@@ -155,7 +155,7 @@ fn incremental_matches_cold_recompute_across_engines() {
     }
 }
 
-/// Store backends (plain / packed / compressed) and source elimination are
+/// Store backends (plain / packed) and source elimination are
 /// pure layout/heuristic switches: every combination must track the cold
 /// recompute, under IC and LT.
 #[test]
@@ -166,16 +166,15 @@ fn incremental_matches_on_every_store_backend() {
         DiffusionModel::LinearThreshold,
     ] {
         let deltas = scripted_stream(&g0, 5, 2);
-        for (packed, compressed) in [(false, false), (true, false), (false, true)] {
+        for packed in [false, true] {
             for elim in [false, true] {
                 let c = base_config(model)
                     .with_packed(packed)
-                    .with_compressed(compressed)
                     .with_source_elimination(elim);
                 let mut s = streaming_engine(&g0, c);
                 let initial = s.replay().unwrap();
                 let mut cold_graph = g0.clone();
-                let label = format!("{model} packed={packed} compressed={compressed} elim={elim}");
+                let label = format!("{model} packed={packed} elim={elim}");
                 assert_eq!(initial.seeds, cold_cpu(&cold_graph, c), "{label}: initial");
                 for (b, delta) in deltas.iter().enumerate() {
                     let report = s.apply_update(delta).unwrap();
