@@ -80,9 +80,9 @@ use eim_gpusim::{
 };
 use eim_graph::{generators, Dataset, WeightModel};
 use eim_imm::{
-    run_imm, run_imm_recovering, select_seeds, select_seeds_reference, CpuEngine, CpuParallelism,
-    EngineError, HostResampler, ImmConfig, ImmEngine as _, PlainRrrStore, RecoveryPolicy,
-    RrrStoreBuilder, StreamingImmEngine,
+    run_imm, run_imm_recovering, select_seeds, CpuEngine, CpuParallelism, EngineError,
+    HostResampler, ImmConfig, ImmEngine as _, PlainRrrStore, RecoveryPolicy, RrrStoreBuilder,
+    StreamingImmEngine,
 };
 use rand::{Rng, SeedableRng};
 use serde_json::{Map, Value};
@@ -629,32 +629,6 @@ fn run_benches(
     );
     println!(
         "selection      {sel_ms:>10.2} ms   ({} sets, k={}, covered={covered})",
-        w.sel_sets, w.sel_k
-    );
-
-    // The pre-PR full-rescan greedy, kept as the differential-test oracle;
-    // benchmarked so the indexed path's speedup is measurable in one run.
-    let mut ref_covered = 0usize;
-    let ref_ms = time_ms(w.reps, || {
-        let sel = select_seeds_reference(&store, w.sel_k);
-        ref_covered = sel.covered_sets;
-        std::hint::black_box(&sel);
-    });
-    assert_eq!(ref_covered, covered, "reference and indexed paths agree");
-    benches.insert(
-        "selection_reference".to_string(),
-        bench_entry(
-            ref_ms,
-            &[
-                ("n", Value::from(w.sel_n as u64)),
-                ("sets", Value::from(w.sel_sets as u64)),
-                ("k", Value::from(w.sel_k as u64)),
-                ("covered_sets", Value::from(ref_covered as u64)),
-            ],
-        ),
-    );
-    println!(
-        "sel_reference  {ref_ms:>10.2} ms   ({} sets, k={}, covered={ref_covered})",
         w.sel_sets, w.sel_k
     );
 

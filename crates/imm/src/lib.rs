@@ -46,10 +46,7 @@ pub use martingale::{
 };
 pub use recovery::{MartingaleCheckpoint, RecoveryMode, RecoveryPolicy, RecoveryReport};
 pub use rrrstore::{AnyRrrStore, PackedRrrStore, PlainRrrStore, RrrSets, RrrStoreBuilder};
-pub use selection::{
-    select_seeds, select_seeds_reference, select_seeds_reference_with_gains,
-    select_seeds_with_gains, Selection, SelectionWorkspace,
-};
+pub use selection::{select_seeds, select_seeds_with_gains, Selection};
 pub use source_elim::apply_source_elimination;
 pub use spill::PackedRrrBatch;
 pub use streaming::{

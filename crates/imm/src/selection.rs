@@ -1,23 +1,21 @@
 //! Greedy max-coverage seed selection (§3.5, Algorithm 3 — CPU reference).
 //!
-//! Two host implementations, byte-identical in output:
+//! One host implementation: [`lazy_greedy`], CELF lazy greedy that
+//! revalidates one stale heap entry at a time. Stale entries carry upper
+//! bounds (submodularity), so each pick recounts only the few vertices
+//! whose bound still competes, with `O(|run|)` work per recount instead of
+//! a rescan of every RRR set. It reads sets through an inverted index
+//! (vertex → ids of the sets containing it): [`select_seeds`] builds a CSR
+//! one over a store, and the streaming engine passes its maintained
+//! postings cut at a prefix. Gain ties break toward the smallest vertex
+//! id, so seed sets are deterministic.
 //!
-//! * [`select_seeds`] — the production path. A rayon-built CSR inverted
-//!   index (vertex → ids of the sets containing it) feeds CELF lazy greedy:
-//!   stale heap entries carry upper bounds (submodularity), so each pick
-//!   touches only the few vertices whose bound still competes, and those
-//!   are revalidated in parallel. Replaces the per-pick full rescan of
-//!   every RRR set with `O(|run|)` work per touched vertex.
-//! * [`select_seeds_reference`] — the direct Algorithm 3 transcription:
-//!   repeat `k` times, take the vertex appearing in the most *uncovered*
-//!   RRR sets, mark every set containing it covered (one task per set,
-//!   membership by binary search — structurally identical to the paper's
-//!   thread-based GPU scan), and decrement the counts of all vertices in
-//!   the newly covered sets. Kept as the differential-testing oracle; the
-//!   GPU-model variant with cost accounting lives in `eim-core`.
-//!
-//! Both break gain ties toward the smallest vertex id, so seed sets are
-//! deterministic and interchangeable between the two paths.
+//! The direct Algorithm 3 transcription — per pick, take the vertex in the
+//! most *uncovered* sets, mark every set containing it covered (one task
+//! per set, membership by binary search) and decrement the counts of the
+//! newly covered sets' members — lives in this file's tests as the
+//! differential oracle. The GPU-model variant with cost accounting lives in
+//! `eim-core`.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -118,14 +116,6 @@ impl InvertedIndex {
     }
 }
 
-/// Cap on heap entries revalidated per lazy round; bounds the scratch the
-/// revalidation batch holds.
-const REVALIDATE_BATCH: usize = 1024;
-
-/// Minimum summed posting-run length before a revalidation batch goes to the
-/// thread pool — below this, spawning workers costs more than the counting.
-const REVALIDATE_PAR_WORK: usize = 1 << 16;
-
 /// Greedy max-coverage over `store`, choosing `k` seeds. Ties break toward
 /// the smallest vertex id, making the result deterministic.
 pub fn select_seeds<S: RrrSets + ?Sized>(store: &S, k: usize) -> Selection {
@@ -144,72 +134,61 @@ pub fn select_seeds_with_gains<S: RrrSets + ?Sized>(
     let num_sets = store.num_sets();
     assert!(k <= n, "k exceeds vertex count");
     let index = InvertedIndex::build(store);
-    // Covered flags, one bit per set (the paper's binary array F).
-    let mut covered = vec![0u32; num_sets.div_ceil(32)];
+    lazy_greedy(n, num_sets, num_sets, k, |v| index.run(v))
+}
+
+/// CELF lazy greedy, the one host max-coverage loop. `run(v)` lists the
+/// ids (all `< id_bound`) of the sets containing vertex `v`; its length is
+/// `v`'s initial gain. `num_sets` is the set count reported in the
+/// [`Selection`] — `id_bound` when every id names a set, fewer when the id
+/// space has empty holes (streaming's eliminated slots).
+///
+/// The heap holds exactly one `(gain upper bound, Reverse(vertex), picks
+/// when validated)` entry per vertex. A popped entry validated since the
+/// last pick is exact and selected; a stale one is recounted against the
+/// current coverage and pushed back (submodularity keeps the stale value an
+/// upper bound). The `(gain desc, id asc)` order reproduces the reference
+/// tie-break: an equal-gain smaller-id entry — stale or not — always pops
+/// before a larger-id one can be selected.
+pub(crate) fn lazy_greedy<'a>(
+    n: usize,
+    id_bound: usize,
+    num_sets: usize,
+    k: usize,
+    run: impl Fn(usize) -> &'a [u32],
+) -> (Selection, Vec<usize>) {
+    // Covered flags, one bit per set id (the paper's binary array F).
+    let mut covered = vec![0u32; id_bound.div_ceil(32)];
     let mut covered_count = 0usize;
-    // Heap of (gain upper bound, Reverse(vertex), round validated). Exactly
-    // one entry per vertex at all times, so the `(gain desc, id asc)` order
-    // reproduces the reference tie-break: an equal-gain smaller-id entry —
-    // stale or not — always pops before a larger-id one can be selected.
-    let mut heap: BinaryHeap<(u32, Reverse<u32>, u32)> = store
-        .counts()
-        .iter()
-        .enumerate()
-        .map(|(v, &c)| (c, Reverse(v as u32), 0u32))
+    let mut heap: BinaryHeap<(u32, Reverse<u32>, u32)> = (0..n)
+        .map(|v| (run(v).len() as u32, Reverse(v as u32), 0u32))
         .collect();
     let mut seeds: Vec<VertexId> = Vec::with_capacity(k);
     let mut gains = Vec::with_capacity(k);
-    let mut round: u32 = 0;
-    let mut stale: Vec<(u32, Reverse<u32>, u32)> = Vec::new();
     while seeds.len() < k {
-        let Some(top) = heap.pop() else { break };
-        if top.2 == round {
-            // Bound is current: select, mark the vertex's run covered.
-            let v = top.1 .0;
+        let Some((bound, Reverse(v), validated)) = heap.pop() else {
+            break;
+        };
+        let picks = seeds.len() as u32;
+        if validated == picks {
             let mut gain = 0usize;
-            for &i in index.run(v as usize) {
+            for &i in run(v as usize) {
                 let (word, bit) = ((i / 32) as usize, 1u32 << (i % 32));
                 if covered[word] & bit == 0 {
                     covered[word] |= bit;
                     gain += 1;
                 }
             }
-            debug_assert_eq!(gain as u32, top.0, "validated gain was not exact");
+            debug_assert_eq!(gain as u32, bound, "validated gain was not exact");
             covered_count += gain;
             seeds.push(v);
             gains.push(gain);
-            round += 1;
         } else {
-            // Drain the stale prefix of the heap (up to the batch cap) and
-            // recompute those bounds against the current coverage in one
-            // parallel pass — CELF's lazy step, batched.
-            stale.clear();
-            stale.push(top);
-            let mut work = index.starts[top.1 .0 as usize + 1] - index.starts[top.1 .0 as usize];
-            while stale.len() < REVALIDATE_BATCH {
-                match heap.peek() {
-                    Some(&(_, Reverse(v), validated)) if validated != round => {
-                        work += index.starts[v as usize + 1] - index.starts[v as usize];
-                        stale.push(heap.pop().expect("peeked entry"));
-                    }
-                    _ => break,
-                }
-            }
-            let covered_ref = &covered;
-            let revalidate = |&(_, Reverse(v), _): &(u32, Reverse<u32>, u32)| {
-                let fresh = index
-                    .run(v as usize)
-                    .iter()
-                    .filter(|&&i| covered_ref[(i / 32) as usize] & (1u32 << (i % 32)) == 0)
-                    .count() as u32;
-                (fresh, Reverse(v), round)
-            };
-            if work >= REVALIDATE_PAR_WORK && rayon::current_num_threads() > 1 {
-                let fresh: Vec<_> = stale.par_iter().map(revalidate).collect();
-                heap.extend(fresh);
-            } else {
-                heap.extend(stale.iter().map(revalidate));
-            }
+            let fresh = run(v as usize)
+                .iter()
+                .filter(|&&i| covered[(i / 32) as usize] & (1u32 << (i % 32)) == 0)
+                .count() as u32;
+            heap.push((fresh, Reverse(v), picks));
         }
     }
 
@@ -223,125 +202,105 @@ pub fn select_seeds_with_gains<S: RrrSets + ?Sized>(
     )
 }
 
-/// Reusable buffers for the reference selector, so repeated calls (the IMM
-/// driver selects once per estimation iteration) stop cloning the counts
-/// array and covered flags into fresh allocations every time.
-#[derive(Default)]
-pub struct SelectionWorkspace {
-    counts: Vec<AtomicU32>,
-    flags: Vec<AtomicU32>,
-    candidates: Vec<u32>,
-}
+/// Algorithm 3 as written, the differential-testing oracle for
+/// [`lazy_greedy`]: per pick, a parallel argmax over the still unselected
+/// vertices (a compacted candidate list, so already-selected ids cost
+/// nothing) followed by a thread-parallel membership scan over every RRR
+/// set. Byte-identical to [`select_seeds_with_gains`]; quadratically slower
+/// at scale, which is exactly what makes it a useful oracle.
+#[cfg(test)]
+mod reference {
+    use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
-impl SelectionWorkspace {
-    /// An empty workspace; buffers grow on first use and are reused after.
-    pub fn new() -> Self {
-        Self::default()
+    use rayon::prelude::*;
+
+    use super::Selection;
+    use crate::rrrstore::RrrSets;
+
+    /// [`select_seeds_reference_with_gains`] without the gains.
+    pub(super) fn select_seeds_reference<S: RrrSets + ?Sized>(store: &S, k: usize) -> Selection {
+        select_seeds_reference_with_gains(store, k).0
     }
 
-    /// Grows `buf` to `len` slots and stores `value` in the first `len`.
-    fn reset(buf: &mut Vec<AtomicU32>, len: usize, values: impl Iterator<Item = u32>) {
-        if buf.len() < len {
-            buf.resize_with(len, || AtomicU32::new(0));
-        }
-        for (slot, v) in buf.iter().zip(values) {
-            slot.store(v, Ordering::Relaxed);
-        }
-    }
-}
+    /// The reference selector: seeds, coverage and per-pick gains.
+    pub(super) fn select_seeds_reference_with_gains<S: RrrSets + ?Sized>(
+        store: &S,
+        k: usize,
+    ) -> (Selection, Vec<usize>) {
+        let n = store.num_vertices();
+        let num_sets = store.num_sets();
+        assert!(k <= n, "k exceeds vertex count");
+        let counts: Vec<AtomicU32> = store.counts().iter().map(|&c| AtomicU32::new(c)).collect();
+        let flags: Vec<AtomicU32> = (0..num_sets.div_ceil(32))
+            .map(|_| AtomicU32::new(0))
+            .collect();
+        let mut candidates: Vec<u32> = (0..n as u32).collect();
+        let covered = AtomicUsize::new(0);
+        let mut seeds = Vec::with_capacity(k);
+        let mut gains = Vec::with_capacity(k);
 
-/// The reference greedy selector — [`select_seeds_reference_with_gains`]
-/// with a throwaway workspace.
-pub fn select_seeds_reference<S: RrrSets + ?Sized>(store: &S, k: usize) -> Selection {
-    select_seeds_reference_with_gains(store, k, &mut SelectionWorkspace::new()).0
-}
-
-/// Algorithm 3 as written: per pick, a parallel argmax over the still
-/// unselected vertices (a compacted candidate list, so already-selected ids
-/// cost nothing) followed by a thread-parallel membership scan over every
-/// RRR set. Byte-identical to [`select_seeds_with_gains`]; quadratically
-/// slower at scale, which is exactly what makes it a useful oracle.
-pub fn select_seeds_reference_with_gains<S: RrrSets + ?Sized>(
-    store: &S,
-    k: usize,
-    ws: &mut SelectionWorkspace,
-) -> (Selection, Vec<usize>) {
-    let n = store.num_vertices();
-    let num_sets = store.num_sets();
-    assert!(k <= n, "k exceeds vertex count");
-    SelectionWorkspace::reset(&mut ws.counts, n, store.counts().iter().copied());
-    SelectionWorkspace::reset(
-        &mut ws.flags,
-        num_sets.div_ceil(32),
-        std::iter::repeat_n(0, num_sets.div_ceil(32)),
-    );
-    ws.candidates.clear();
-    ws.candidates.extend(0..n as u32);
-    let (counts, flags) = (&ws.counts, &ws.flags);
-    let covered = AtomicUsize::new(0);
-    let mut seeds = Vec::with_capacity(k);
-    let mut gains = Vec::with_capacity(k);
-
-    for _ in 0..k {
-        // argmax_u C[u] over the candidate list (parallel reduce, ties to
-        // the smallest id).
-        let candidates = &ws.candidates;
-        let best = (0..candidates.len())
-            .into_par_iter()
-            .map(|pos| {
-                let v = candidates[pos];
-                (counts[v as usize].load(Ordering::Relaxed), v, pos)
-            })
-            .reduce(
-                || (0u32, u32::MAX, usize::MAX),
-                |a, b| {
-                    if b.0 > a.0 || (b.0 == a.0 && b.1 < a.1) {
-                        b
-                    } else {
-                        a
-                    }
-                },
-            );
-        if best.2 == usize::MAX {
-            break; // fewer than k vertices exist
-        }
-        let vid = best.1;
-        ws.candidates.swap_remove(best.2);
-        seeds.push(vid);
-        let covered_before = covered.load(Ordering::Relaxed);
-        // Thread-parallel scan: one task per set (Algorithm 3).
-        (0..num_sets).into_par_iter().for_each(|i| {
-            let (word, bit) = (i / 32, 1u32 << (i % 32));
-            if flags[word].load(Ordering::Relaxed) & bit != 0 {
-                return;
+        for _ in 0..k {
+            // argmax_u C[u] over the candidate list (parallel reduce, ties
+            // to the smallest id).
+            let cands = &candidates;
+            let best = (0..cands.len())
+                .into_par_iter()
+                .map(|pos| {
+                    let v = cands[pos];
+                    (counts[v as usize].load(Ordering::Relaxed), v, pos)
+                })
+                .reduce(
+                    || (0u32, u32::MAX, usize::MAX),
+                    |a, b| {
+                        if b.0 > a.0 || (b.0 == a.0 && b.1 < a.1) {
+                            b
+                        } else {
+                            a
+                        }
+                    },
+                );
+            if best.2 == usize::MAX {
+                break; // fewer than k vertices exist
             }
-            if store.contains(i, vid) {
-                // First marker wins; others skip the decrement.
-                if flags[word].fetch_or(bit, Ordering::Relaxed) & bit == 0 {
-                    covered.fetch_add(1, Ordering::Relaxed);
-                    let (s, e) = store.set_bounds(i);
-                    for idx in s..e {
-                        let u = store.element(idx) as usize;
-                        counts[u].fetch_sub(1, Ordering::Relaxed);
+            let vid = best.1;
+            candidates.swap_remove(best.2);
+            seeds.push(vid);
+            let covered_before = covered.load(Ordering::Relaxed);
+            // Thread-parallel scan: one task per set (Algorithm 3).
+            (0..num_sets).into_par_iter().for_each(|i| {
+                let (word, bit) = (i / 32, 1u32 << (i % 32));
+                if flags[word].load(Ordering::Relaxed) & bit != 0 {
+                    return;
+                }
+                if store.contains(i, vid) {
+                    // First marker wins; others skip the decrement.
+                    if flags[word].fetch_or(bit, Ordering::Relaxed) & bit == 0 {
+                        covered.fetch_add(1, Ordering::Relaxed);
+                        let (s, e) = store.set_bounds(i);
+                        for idx in s..e {
+                            let u = store.element(idx) as usize;
+                            counts[u].fetch_sub(1, Ordering::Relaxed);
+                        }
                     }
                 }
-            }
-        });
-        gains.push(covered.load(Ordering::Relaxed) - covered_before);
-    }
+            });
+            gains.push(covered.load(Ordering::Relaxed) - covered_before);
+        }
 
-    (
-        Selection {
-            seeds,
-            covered_sets: covered.into_inner(),
-            num_sets,
-        },
-        gains,
-    )
+        (
+            Selection {
+                seeds,
+                covered_sets: covered.into_inner(),
+                num_sets,
+            },
+            gains,
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{select_seeds_reference, select_seeds_reference_with_gains};
     use super::*;
     use crate::rrrstore::{PlainRrrStore, RrrStoreBuilder};
     use proptest::prelude::*;
@@ -484,8 +443,7 @@ mod tests {
 
     fn assert_paths_identical(store: &PlainRrrStore, k: usize, ctx: &str) {
         let (fast, fast_gains) = select_seeds_with_gains(store, k);
-        let (reference, ref_gains) =
-            select_seeds_reference_with_gains(store, k, &mut SelectionWorkspace::new());
+        let (reference, ref_gains) = select_seeds_reference_with_gains(store, k);
         assert_eq!(fast, reference, "{ctx}");
         assert_eq!(fast_gains, ref_gains, "{ctx}");
     }
@@ -521,20 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn workspace_reuse_does_not_leak_state_between_stores() {
-        let mut ws = SelectionWorkspace::new();
-        // Big store first, then a smaller one: stale counts/flags from the
-        // first call must not bleed into the second.
-        let big = random_store(100, 500, 8, 7);
-        let small = random_store(30, 40, 4, 8);
-        let _ = select_seeds_reference_with_gains(&big, 20, &mut ws);
-        let reused = select_seeds_reference_with_gains(&small, 5, &mut ws);
-        let fresh = select_seeds_reference_with_gains(&small, 5, &mut SelectionWorkspace::new());
-        assert_eq!(reused.0, fresh.0);
-        assert_eq!(reused.1, fresh.1);
-    }
-
-    #[test]
     fn deterministic_under_varying_thread_counts() {
         let store = random_store(150, 2_000, 12, 77);
         let baseline = select_seeds_with_gains(&store, 20);
@@ -546,10 +490,8 @@ mod tests {
             let got = pool.install(|| select_seeds_with_gains(&store, 20));
             assert_eq!(got.0, baseline.0, "threads = {threads}");
             assert_eq!(got.1, baseline.1, "threads = {threads}");
-            let reference = pool.install(|| {
-                select_seeds_reference_with_gains(&store, 20, &mut SelectionWorkspace::new())
-            });
-            assert_eq!(reference.0, baseline.0, "reference, threads = {threads}");
+            let reference = pool.install(|| select_seeds_reference(&store, 20));
+            assert_eq!(reference, baseline.0, "reference, threads = {threads}");
         }
     }
 

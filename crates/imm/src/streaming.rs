@@ -17,13 +17,17 @@
 //!
 //! * the RRR store (plain or packed) with slot = sample index,
 //!   patched in place via the backends' `patch_sets`;
-//! * a postings *invalidation index*: for every vertex, the sorted slot ids
-//!   whose footprint contains it. A delta batch maps to the exact set of
-//!   invalidated slots by a union over its changed heads;
-//! * the same index doubles as the selection inverted index, and the store's
-//!   per-vertex coverage histogram is patched in place — so the CELF
-//!   selection replays warm from binary searches over the postings without
-//!   decoding a single stored set.
+//! * the *postings*: for every vertex, the sorted slot ids whose stored set
+//!   contains it — the transpose of the store, so it doubles as the
+//!   selection inverted index: the warm replay runs the same CELF core as
+//!   [`crate::select_seeds`] on binary-searched posting prefixes, without
+//!   decoding a single stored set;
+//! * the *source slots*: for every vertex, the slots drawn from it. A
+//!   footprint is the stored set plus the source, so the postings and
+//!   source slots together map a delta batch to the exact set of
+//!   invalidated slots by a union over its changed heads. The source
+//!   slots are what covers the source's own in-row when elimination
+//!   dropped the source from the stored set.
 //!
 //! After patching, the martingale driver is replayed arithmetically
 //! (identical float ops to [`crate::run_imm`]) with selection restricted to
@@ -34,8 +38,6 @@
 //! the mutated graph (`tests/streaming_updates.rs` enforces this across
 //! engines, store backends, and thread pools).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::path::{Path, PathBuf};
 
 use rand::Rng;
@@ -51,7 +53,7 @@ use crate::checkpoint::{run_fingerprint, store_digest};
 use crate::config::ImmConfig;
 use crate::martingale::EngineError;
 use crate::rrrstore::{AnyRrrStore, RrrSets, RrrStoreBuilder};
-use crate::selection::Selection;
+use crate::selection::{lazy_greedy, Selection};
 
 /// Draws RRR samples for explicit `(seed, index)` slots against the current
 /// graph. Implementations must return, per index, the source vertex and the
@@ -151,8 +153,8 @@ pub struct UpdateReport {
     /// Fresh slots appended because the replay needed more samples than any
     /// earlier run had drawn.
     pub fresh_slots: usize,
-    /// Stored sets decoded while patching (old-footprint reads). Zero for
-    /// a no-op batch.
+    /// Stored sets decoded while patching (the redrawn slots' old contents,
+    /// read to unindex them). Zero for a no-op batch.
     pub decoded_sets: usize,
     /// Logical slots materialized after the update (including fresh ones).
     pub slots: usize,
@@ -221,10 +223,13 @@ pub struct StreamingImmEngine<R: Resampler> {
     sources: Vec<VertexId>,
     /// Ascending slot ids discarded by source elimination.
     discarded: Vec<u32>,
-    /// Per-vertex ascending slot ids whose footprint contains the vertex —
-    /// the invalidation index and warm selection index in one.
+    /// Per-vertex ascending slot ids whose stored set contains the vertex —
+    /// the transpose of the store, and the warm selection index.
     postings: Vec<Vec<u32>>,
-    /// Per-vertex ascending slot ids whose source is the vertex.
+    /// Per-vertex ascending slot ids whose source is the vertex. With
+    /// `postings` it covers every footprint: a sample's source always
+    /// visits (and scans the in-row of) itself, even when elimination
+    /// dropped it from the stored set.
     source_slots: Vec<Vec<u32>>,
     /// Update batches applied so far.
     delta_cursor: u64,
@@ -321,25 +326,15 @@ impl<R: Resampler> StreamingImmEngine<R> {
         footprint.iter().copied().filter(|&v| v != source).collect()
     }
 
-    /// Reconstructs slot `i`'s footprint from the store (decodes one set).
-    fn footprint_of(&self, slot: u32) -> Vec<VertexId> {
-        let mut members = self.store.set_members(slot as usize);
-        if self.config.source_elimination {
-            members.push(self.sources[slot as usize]);
-        }
-        members.sort_unstable();
-        members
-    }
-
-    /// Indexes a freshly drawn sample at `slot` into the postings and
-    /// bookkeeping (store append/patch is the caller's business).
-    fn index_sample(&mut self, slot: u32, source: VertexId, footprint: &[VertexId]) {
-        for &v in footprint {
+    /// Indexes a freshly drawn sample's stored set at `slot` into the
+    /// postings and bookkeeping (store append/patch is the caller's
+    /// business). Only elimination stores an empty set.
+    fn index_sample(&mut self, slot: u32, source: VertexId, stored: &[VertexId]) {
+        for &v in stored {
             insert_sorted(&mut self.postings[v as usize], slot);
         }
         insert_sorted(&mut self.source_slots[source as usize], slot);
-        let eliminated = self.config.source_elimination && footprint.len() <= 1;
-        if eliminated {
+        if stored.is_empty() {
             insert_sorted(&mut self.discarded, slot);
         } else {
             remove_sorted(&mut self.discarded, slot);
@@ -360,7 +355,7 @@ impl<R: Resampler> StreamingImmEngine<R> {
             self.sources.push(source);
             let stored = self.stored_of(source, &footprint);
             self.store.append_set(&stored);
-            self.index_sample(slot, source, &footprint);
+            self.index_sample(slot, source, &stored);
         }
         Ok(target - have)
     }
@@ -371,65 +366,14 @@ impl<R: Resampler> StreamingImmEngine<R> {
         cutoff - below(&self.discarded, cutoff)
     }
 
-    /// Greedy max-coverage over the kept multiset of slots `< cutoff`,
-    /// selection-identical to [`crate::select_seeds`] on a cold store with
-    /// the same content: same per-vertex gains, same `(gain desc, id asc)`
-    /// tie-break via the one-entry-per-vertex lazy heap. Runs entirely on
-    /// the postings index — zero store decodes.
+    /// Greedy max-coverage over the kept multiset of slots `< cutoff`:
+    /// [`lazy_greedy`] over the postings cut at the prefix, so it selects
+    /// exactly as [`crate::select_seeds`] on a cold store with the same
+    /// content. Eliminated slots are in no posting run. Zero store decodes.
     fn select_prefix(&self, cutoff: usize, k: usize) -> Selection {
-        let n = self.graph.num_vertices();
-        let elim = self.config.source_elimination;
-        let kept = self.kept_below(cutoff);
-        let mut covered = vec![0u32; cutoff.div_ceil(32)];
-        let mut covered_count = 0usize;
-        let mut heap: BinaryHeap<(u32, Reverse<u32>, u32)> = (0..n)
-            .map(|v| {
-                let mut g = below(&self.postings[v], cutoff);
-                if elim {
-                    g -= below(&self.source_slots[v], cutoff);
-                }
-                (g as u32, Reverse(v as u32), 0u32)
-            })
-            .collect();
-        let mut seeds: Vec<VertexId> = Vec::with_capacity(k);
-        let mut round: u32 = 0;
-        while seeds.len() < k {
-            let Some((bound, Reverse(v), validated)) = heap.pop() else {
-                break;
-            };
-            let run = &self.postings[v as usize][..below(&self.postings[v as usize], cutoff)];
-            if validated == round {
-                let mut gain = 0u32;
-                for &i in run {
-                    if elim && self.sources[i as usize] == v {
-                        continue;
-                    }
-                    let (word, bit) = ((i / 32) as usize, 1u32 << (i % 32));
-                    if covered[word] & bit == 0 {
-                        covered[word] |= bit;
-                        gain += 1;
-                    }
-                }
-                debug_assert_eq!(gain, bound, "validated gain was not exact");
-                covered_count += gain as usize;
-                seeds.push(v);
-                round += 1;
-            } else {
-                let fresh = run
-                    .iter()
-                    .filter(|&&i| {
-                        !(elim && self.sources[i as usize] == v)
-                            && covered[(i / 32) as usize] & (1u32 << (i % 32)) == 0
-                    })
-                    .count() as u32;
-                heap.push((fresh, Reverse(v), round));
-            }
-        }
-        Selection {
-            seeds,
-            covered_sets: covered_count,
-            num_sets: kept,
-        }
+        let postings = &self.postings;
+        let run = |v: usize| &postings[v][..below(&postings[v], cutoff)];
+        lazy_greedy(postings.len(), cutoff, self.kept_below(cutoff), k, run).0
     }
 
     /// Replays the martingale driver against the maintained sample
@@ -488,10 +432,10 @@ impl<R: Resampler> StreamingImmEngine<R> {
         Ok(result)
     }
 
-    /// The slots a delta would invalidate, computed from the postings index
-    /// without touching the graph: the union of postings over the heads
-    /// whose in-row membership the batch actually changes (net effect, like
-    /// [`Graph::apply_delta`]). Sorted ascending.
+    /// The slots a delta would invalidate, computed from the index without
+    /// touching the graph: the union of postings and source slots over the
+    /// heads whose in-row membership the batch actually changes (net
+    /// effect, like [`Graph::apply_delta`]). Sorted ascending.
     pub fn predict_invalidated(&self, delta: &GraphDelta) -> Vec<u32> {
         let mut heads: Vec<VertexId> = delta
             .inserts
@@ -517,6 +461,7 @@ impl<R: Resampler> StreamingImmEngine<R> {
             new.sort_unstable();
             if new != old {
                 out.extend_from_slice(&self.postings[head as usize]);
+                out.extend_from_slice(&self.source_slots[head as usize]);
             }
         }
         out.sort_unstable();
@@ -553,10 +498,11 @@ impl<R: Resampler> StreamingImmEngine<R> {
         self.resampler
             .graph_changed(&self.graph, &applied.changed_heads)?;
 
-        // Invalidate: union of postings over the changed heads.
+        // Invalidate: every footprint holding a changed head.
         let mut stale: Vec<u32> = Vec::new();
         for &head in &applied.changed_heads {
             stale.extend_from_slice(&self.postings[head as usize]);
+            stale.extend_from_slice(&self.source_slots[head as usize]);
         }
         stale.sort_unstable();
         stale.dedup();
@@ -571,13 +517,12 @@ impl<R: Resampler> StreamingImmEngine<R> {
                     source, self.sources[slot as usize],
                     "slot {slot}: source is a pure function of (seed, index)"
                 );
-                let old_footprint = self.footprint_of(slot);
                 decoded_sets += 1;
-                for &v in &old_footprint {
+                for v in self.store.set_members(slot as usize) {
                     remove_sorted(&mut self.postings[v as usize], slot);
                 }
                 let stored = self.stored_of(source, &footprint);
-                self.index_sample(slot, source, &footprint);
+                self.index_sample(slot, source, &stored);
                 patches.push((slot as usize, stored));
             }
             self.store.patch_sets(&patches);
@@ -845,6 +790,58 @@ mod tests {
                 report.resampled_slots.len() < s.slots(),
                 "incremental must redraw a strict subset"
             );
+        }
+    }
+
+    /// Rebuilds the index from the store and the sources and asserts the
+    /// maintained one equals it.
+    fn assert_index_is_transpose<R: Resampler>(s: &StreamingImmEngine<R>, ctx: &str) {
+        let n = s.graph.num_vertices();
+        let mut postings = vec![Vec::new(); n];
+        let mut source_slots = vec![Vec::new(); n];
+        let mut discarded = Vec::new();
+        for slot in 0..s.slots() {
+            let members = s.store.set_members(slot);
+            for &v in &members {
+                postings[v as usize].push(slot as u32);
+            }
+            source_slots[s.sources[slot] as usize].push(slot as u32);
+            if members.is_empty() {
+                discarded.push(slot as u32);
+            }
+        }
+        assert_eq!(s.postings, postings, "postings, {ctx}");
+        assert_eq!(s.source_slots, source_slots, "source slots, {ctx}");
+        assert_eq!(s.discarded, discarded, "discarded, {ctx}");
+    }
+
+    #[test]
+    fn index_stays_the_transpose_of_the_store() {
+        let g = graph();
+        let spec = generators::UpdateStreamSpec {
+            batches: 4,
+            edges_per_batch: 12,
+            insert_fraction: 0.5,
+            seed: 9,
+        };
+        let deltas = generators::update_stream(&g, &spec);
+        for elim in [false, true] {
+            let c = config().with_source_elimination(elim);
+            let mut s = StreamingImmEngine::new(
+                g.clone(),
+                c,
+                WeightModel::WeightedCascade,
+                7,
+                HostResampler::new(c.model, c.seed),
+            );
+            s.replay().unwrap();
+            assert_index_is_transpose(&s, &format!("elim={elim}, initial"));
+            assert_eq!(!s.discarded.is_empty(), elim, "elim={elim}");
+            for delta in &deltas {
+                let report = s.apply_update(delta).unwrap();
+                assert!(!report.resampled_slots.is_empty());
+                assert_index_is_transpose(&s, &format!("elim={elim}, batch {}", report.batch));
+            }
         }
     }
 

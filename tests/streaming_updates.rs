@@ -311,44 +311,44 @@ fn delete_of_untraversed_edge_invalidates_nothing() {
 #[test]
 fn hub_insert_never_over_invalidates() {
     let g0 = test_graph(53);
-    let c = base_config(DiffusionModel::IndependentCascade).with_source_elimination(true);
-    let mut s = streaming_engine(&g0, c);
-    s.replay().unwrap();
     let n = g0.num_vertices() as VertexId;
-
     let hub = (0..n).max_by_key(|&v| g0.in_neighbors(v).len()).unwrap();
     let tail = (0..n)
         .find(|&u| u != hub && !g0.in_neighbors(hub).contains(&u))
         .unwrap();
-
-    // Old footprints, reconstructed before the update patches the store:
-    // stored content plus the (recomputable) source.
-    let holds_hub: Vec<bool> = (0..s.slots())
-        .map(|i| {
-            let source: VertexId = sample_rng(c.seed, i as u64).gen_range(0..n);
-            source == hub || s.store().set_members(i).contains(&hub)
-        })
-        .collect();
-    let expected: Vec<u32> = (0..s.slots() as u32)
-        .filter(|&i| holds_hub[i as usize])
-        .collect();
-    assert!(
-        !expected.is_empty(),
-        "a hub should appear in some footprint"
-    );
-
     let delta = GraphDelta {
         inserts: vec![(tail, hub)],
         deletes: vec![],
     };
-    let report = s.apply_update(&delta).unwrap();
-    assert_eq!(
-        report.resampled_slots, expected,
-        "resampled exactly the footprints holding the hub"
-    );
     let mut cold = g0.clone();
     cold.apply_delta(&delta, WeightModel::WeightedCascade, WEIGHT_SEED);
-    assert_eq!(report.result.seeds, cold_cpu(&cold, c));
+
+    for elim in [false, true] {
+        let c = base_config(DiffusionModel::IndependentCascade).with_source_elimination(elim);
+        let mut s = streaming_engine(&g0, c);
+        s.replay().unwrap();
+
+        // Old footprints, reconstructed before the update patches the
+        // store: the stored set, which holds the source unless elimination
+        // dropped it, plus the (recomputable) source.
+        let expected: Vec<u32> = (0..s.slots() as u32)
+            .filter(|&i| {
+                let source: VertexId = sample_rng(c.seed, i as u64).gen_range(0..n);
+                (elim && source == hub) || s.store().set_members(i as usize).contains(&hub)
+            })
+            .collect();
+        assert!(
+            !expected.is_empty(),
+            "a hub should appear in some footprint (elim={elim})"
+        );
+
+        let report = s.apply_update(&delta).unwrap();
+        assert_eq!(
+            report.resampled_slots, expected,
+            "resampled exactly the footprints holding the hub (elim={elim})"
+        );
+        assert_eq!(report.result.seeds, cold_cpu(&cold, c), "elim={elim}");
+    }
 }
 
 /// A structurally empty batch (no updates, redundant deletes, self-healing
